@@ -22,44 +22,16 @@ namespace dynaddr::atlas {
 
 namespace {
 
+namespace fs = std::filesystem;
 using net::ByteCursor;
 using net::put_varint;
 using net::put_varint_signed;
-
-enum class DatasetKind : std::uint8_t {
-    ConnectionLog = 1,
-    KRoot = 2,
-    Uptime = 3,
-    Probes = 4,
-};
 
 constexpr char kHeaderMagic[4] = {'D', 'A', 'B', '2'};
 constexpr char kTailMagic[4] = {'D', 'A', 'B', 'E'};
 constexpr std::uint8_t kFormatVersion = 1;
 constexpr std::size_t kHeaderSize = 6;
 constexpr std::size_t kTailSize = 12;  // u64 footer offset + magic
-
-const char* dataset_file(DatasetKind kind) {
-    switch (kind) {
-        case DatasetKind::ConnectionLog: return "connection_log.dab";
-        case DatasetKind::KRoot: return "kroot.dab";
-        case DatasetKind::Uptime: return "uptime.dab";
-        case DatasetKind::Probes: return "probes.dab";
-    }
-    return "unknown.dab";
-}
-
-const char* dataset_name(DatasetKind kind) {
-    switch (kind) {
-        case DatasetKind::ConnectionLog: return "connection_log";
-        case DatasetKind::KRoot: return "kroot";
-        case DatasetKind::Uptime: return "uptime";
-        case DatasetKind::Probes: return "probes";
-    }
-    return "unknown";
-}
-
-// -- encoding ----------------------------------------------------------------
 
 /// Deterministic address dictionary: indexes assigned in first-appearance
 /// order, so an encode of the same record sequence is byte-stable.
@@ -70,10 +42,6 @@ public:
         auto [it, inserted] = index_.try_emplace(key, entries_.size());
         if (inserted) entries_.push_back(address);
         return it->second;
-    }
-
-    [[nodiscard]] const std::vector<PeerAddress>& entries() const {
-        return entries_;
     }
 
     void encode(std::string& out) const {
@@ -130,106 +98,113 @@ std::vector<PeerAddress> decode_dict(ByteCursor& cursor) {
     return dict;
 }
 
-/// Shared streaming encoder state for one dataset file: block buffering,
-/// block index, footer/tail emission. The typed wrappers below own the
-/// record buffer and the columnar payload layout.
-struct BlockStream {
-    std::string body;  ///< header + blocks so far
-    struct IndexEntry {
-        ProbeId probe;
-        std::uint64_t offset;
-        std::uint64_t count;
-    };
-    std::vector<IndexEntry> index;
+// -- codecs ------------------------------------------------------------------
+// One per dataset kind: record type, kind byte, dataset name (the file is
+// `<name>.dab`) and the block payload in both directions. `decode` fills
+// rows whose probe is already set, column by column, reading exactly the
+// bytes `encode` wrote.
 
-    explicit BlockStream(DatasetKind kind) {
-        body.append(kHeaderMagic, sizeof kHeaderMagic);
-        body.push_back(char(std::uint8_t(kind)));
-        body.push_back(char(kFormatVersion));
-    }
+using Dict = std::vector<PeerAddress>;
 
-    void add_block(ProbeId probe, std::uint64_t count,
-                   std::string_view payload) {
-        index.push_back({probe, body.size(), count});
-        put_varint(body, probe);
-        put_varint(body, count);
-        body.append(payload);
+/// Delta-zigzag time column, the first column of every timed kind.
+template <typename Record>
+void put_times(std::string& out, std::span<const Record> block,
+               net::TimePoint Record::*field) {
+    std::int64_t previous = 0;
+    for (const auto& r : block) {
+        put_varint_signed(out, (r.*field).unix_seconds() - previous);
+        previous = (r.*field).unix_seconds();
     }
+}
 
-    /// Appends footer + tail; the stream is complete afterwards.
-    void finish(const AddressDict* dict) {
-        const std::uint64_t footer_offset = body.size();
-        if (dict != nullptr) {
-            dict->encode(body);
-        } else {
-            put_varint(body, 0);  // empty dictionary
-        }
-        put_varint(body, index.size());
-        std::uint64_t previous = 0;
-        for (const auto& entry : index) {
-            put_varint(body, entry.probe);
-            put_varint(body, entry.offset - previous);
-            previous = entry.offset;
-            put_varint(body, entry.count);
-        }
-        for (int shift = 0; shift < 64; shift += 8)
-            body.push_back(char((footer_offset >> shift) & 0xFF));
-        body.append(kTailMagic, sizeof kTailMagic);
+template <typename Record>
+void get_times(ByteCursor& in, std::span<Record> rows,
+               net::TimePoint Record::*field) {
+    std::int64_t previous = 0;
+    for (auto& r : rows) {
+        previous += in.varint_signed();
+        r.*field = net::TimePoint(previous);
     }
+}
+
+/// Kinds without an address dictionary write an empty one in the footer.
+struct NoDict {
+    static constexpr bool has_dict = false;
+    static void encode_dict(std::string& out) { put_varint(out, 0); }
 };
 
-struct ConnectionEncoder {
-    static constexpr DatasetKind kind = DatasetKind::ConnectionLog;
-    AddressDict dict;
-    static ProbeId probe_of(const ConnectionLogEntry& e) { return e.probe; }
-    void payload(std::string& out, std::span<const ConnectionLogEntry> block) {
-        std::int64_t previous = 0;
-        for (const auto& e : block) {
-            put_varint_signed(out, e.start.unix_seconds() - previous);
-            previous = e.start.unix_seconds();
-        }
+struct ConnectionCodec {
+    using Record = ConnectionLogEntry;
+    static constexpr std::uint8_t kind = 1;
+    static constexpr const char* name = "connection_log";
+    static constexpr bool has_dict = true;
+    AddressDict dict;  ///< encode side; decode gets the footer's
+
+    void encode_dict(std::string& out) const { dict.encode(out); }
+    void encode(std::string& out, std::span<const Record> block) {
+        put_times(out, block, &Record::start);
         for (const auto& e : block)
             put_varint_signed(out,
                               e.end.unix_seconds() - e.start.unix_seconds());
         for (const auto& e : block) put_varint(out, dict.index_of(e.address));
     }
+    static void decode(ByteCursor& in, std::span<Record> rows,
+                       const Dict& dict) {
+        get_times(in, rows, &Record::start);
+        for (auto& e : rows)
+            e.end = net::TimePoint(e.start.unix_seconds() + in.varint_signed());
+        for (auto& e : rows) {
+            const std::uint64_t index = in.varint();
+            if (index >= dict.size())
+                throw ParseError("binary bundle: address index " +
+                                 std::to_string(index) +
+                                 " outside dictionary of " +
+                                 std::to_string(dict.size()));
+            e.address = dict[std::size_t(index)];
+        }
+    }
 };
 
-struct KRootEncoder {
-    static constexpr DatasetKind kind = DatasetKind::KRoot;
-    static ProbeId probe_of(const KRootPingRecord& r) { return r.probe; }
-    static void payload(std::string& out,
-                        std::span<const KRootPingRecord> block) {
-        std::int64_t previous = 0;
-        for (const auto& r : block) {
-            put_varint_signed(out, r.timestamp.unix_seconds() - previous);
-            previous = r.timestamp.unix_seconds();
-        }
+struct KRootCodec : NoDict {
+    using Record = KRootPingRecord;
+    static constexpr std::uint8_t kind = 2;
+    static constexpr const char* name = "kroot";
+
+    static void encode(std::string& out, std::span<const Record> block) {
+        put_times(out, block, &Record::timestamp);
         for (const auto& r : block) put_varint_signed(out, r.sent);
         for (const auto& r : block) put_varint_signed(out, r.success);
         for (const auto& r : block) put_varint_signed(out, r.lts_seconds);
     }
-};
-
-struct UptimeEncoder {
-    static constexpr DatasetKind kind = DatasetKind::Uptime;
-    static ProbeId probe_of(const UptimeRecord& r) { return r.probe; }
-    static void payload(std::string& out,
-                        std::span<const UptimeRecord> block) {
-        std::int64_t previous = 0;
-        for (const auto& r : block) {
-            put_varint_signed(out, r.timestamp.unix_seconds() - previous);
-            previous = r.timestamp.unix_seconds();
-        }
-        for (const auto& r : block) put_varint(out, r.uptime_seconds);
+    static void decode(ByteCursor& in, std::span<Record> rows, const Dict&) {
+        get_times(in, rows, &Record::timestamp);
+        for (auto& r : rows) r.sent = int(in.varint_signed());
+        for (auto& r : rows) r.success = int(in.varint_signed());
+        for (auto& r : rows) r.lts_seconds = in.varint_signed();
     }
 };
 
-struct ProbesEncoder {
-    static constexpr DatasetKind kind = DatasetKind::Probes;
-    static ProbeId probe_of(const ProbeMetadata& p) { return p.probe; }
-    static void payload(std::string& out,
-                        std::span<const ProbeMetadata> block) {
+struct UptimeCodec : NoDict {
+    using Record = UptimeRecord;
+    static constexpr std::uint8_t kind = 3;
+    static constexpr const char* name = "uptime";
+
+    static void encode(std::string& out, std::span<const Record> block) {
+        put_times(out, block, &Record::timestamp);
+        for (const auto& r : block) put_varint(out, r.uptime_seconds);
+    }
+    static void decode(ByteCursor& in, std::span<Record> rows, const Dict&) {
+        get_times(in, rows, &Record::timestamp);
+        for (auto& r : rows) r.uptime_seconds = in.varint();
+    }
+};
+
+struct ProbesCodec : NoDict {
+    using Record = ProbeMetadata;
+    static constexpr std::uint8_t kind = 4;
+    static constexpr const char* name = "probes";
+
+    static void encode(std::string& out, std::span<const Record> block) {
         for (const auto& p : block) {
             out.push_back(char(int(p.version)));
             put_varint(out, p.country_code.size());
@@ -241,119 +216,182 @@ struct ProbesEncoder {
             }
         }
     }
+    static void decode(ByteCursor& in, std::span<Record> rows, const Dict&) {
+        auto string = [&] { return in.bytes(in.length(in.remaining())); };
+        for (auto& meta : rows) {
+            const int version = int(in.u8());
+            if (version < 1 || version > 3)
+                throw ParseError("binary bundle: bad probe version " +
+                                 std::to_string(version));
+            meta.version = ProbeVersion(version);
+            meta.country_code = std::string(string());
+            const std::size_t tags = in.length(in.remaining());
+            meta.tags.reserve(tags);
+            for (std::size_t t = 0; t < tags; ++t)
+                meta.tags.emplace_back(string());
+        }
+    }
 };
 
-/// One dataset's streaming encoder: records buffer per probe and flush as
-/// a columnar block when the probe changes or the block fills.
-template <typename Record, typename Encoder>
-struct DatasetEncoder {
-    BlockStream stream{Encoder::kind};
-    Encoder encoder;
-    std::vector<Record> buffer;
-    ProbeId current = 0;
-    std::size_t block_records;
+template <typename Codec>
+std::string file_name() {
+    return std::string(Codec::name) + ".dab";
+}
 
-    explicit DatasetEncoder(std::size_t block_records_)
-        : block_records(block_records_ == 0 ? 1 : block_records_) {}
+// -- encoding ----------------------------------------------------------------
+
+/// One dataset file being encoded: records buffer per probe and become a
+/// block when the probe changes or the block fills; finish() appends the
+/// footer and tail.
+template <typename Codec>
+class DatasetEncoder {
+public:
+    using Record = typename Codec::Record;
+
+    explicit DatasetEncoder(std::size_t block_records)
+        : block_records_(std::max<std::size_t>(1, block_records)) {
+        body_.append(kHeaderMagic, sizeof kHeaderMagic);
+        body_.push_back(char(Codec::kind));
+        body_.push_back(char(kFormatVersion));
+    }
 
     void add(const Record& record) {
-        const ProbeId probe = Encoder::probe_of(record);
-        if (!buffer.empty() &&
-            (probe != current || buffer.size() >= block_records))
+        if (!buffer_.empty() && (record.probe != buffer_.back().probe ||
+                                 buffer_.size() >= block_records_))
             flush();
-        current = probe;
-        buffer.push_back(record);
+        buffer_.push_back(record);
     }
 
-    void flush() {
-        if (buffer.empty()) return;
-        std::string payload;
-        encoder.payload(payload, buffer);
-        stream.add_block(current, buffer.size(), payload);
-        buffer.clear();
-    }
-
+    /// The complete file body; the encoder is spent afterwards.
     std::string finish() {
         flush();
-        if constexpr (std::is_same_v<Encoder, ConnectionEncoder>) {
-            stream.finish(&encoder.dict);
-        } else {
-            stream.finish(nullptr);
+        const std::uint64_t footer_offset = body_.size();
+        codec_.encode_dict(body_);
+        put_varint(body_, index_.size());
+        std::uint64_t previous = 0;
+        for (const auto& entry : index_) {
+            put_varint(body_, entry.probe);
+            put_varint(body_, entry.offset - previous);
+            previous = entry.offset;
+            put_varint(body_, entry.count);
         }
-        return std::move(stream.body);
+        net::put_u64_le(body_, footer_offset);
+        body_.append(kTailMagic, sizeof kTailMagic);
+        return std::move(body_);
     }
 
-    /// Heap held by this encoder: accumulated body, block index, and the
-    /// per-probe record buffer. For memory accounting.
-    [[nodiscard]] std::size_t memory_bytes() const {
-        return stream.body.capacity() +
-               stream.index.capacity() * sizeof(BlockStream::IndexEntry) +
-               buffer.capacity() * sizeof(Record);
+    /// finish() written to `<directory>/<name>.dab`.
+    void write(const fs::path& directory) {
+        const fs::path path = directory / file_name<Codec>();
+        const std::string body = finish();
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        if (!out)
+            throw Error("cannot open " + path.string() +
+                        " for writing (dataset " + Codec::name + ")");
+        out.write(body.data(), std::streamsize(body.size()));
+        out.flush();
+        if (!out)
+            throw Error("write failed on " + path.string() + " (dataset " +
+                        Codec::name + ")");
     }
+
+    /// Heap held: accumulated body, block index and the per-probe record
+    /// buffer. For memory accounting.
+    [[nodiscard]] std::size_t memory_bytes() const {
+        return body_.capacity() + index_.capacity() * sizeof(IndexEntry) +
+               buffer_.capacity() * sizeof(Record);
+    }
+
+private:
+    void flush() {
+        if (buffer_.empty()) return;
+        const ProbeId probe = buffer_.back().probe;
+        index_.push_back({probe, body_.size(), buffer_.size()});
+        put_varint(body_, probe);
+        put_varint(body_, buffer_.size());
+        codec_.encode(body_, buffer_);
+        buffer_.clear();
+    }
+
+    struct IndexEntry {
+        ProbeId probe;
+        std::uint64_t offset;
+        std::uint64_t count;
+    };
+    Codec codec_;
+    std::string body_;  ///< header + blocks so far
+    std::vector<IndexEntry> index_;
+    std::vector<Record> buffer_;
+    std::size_t block_records_;
 };
 
-template <typename Record, typename Encoder>
-std::string encode_dataset(std::span<const Record> records,
+template <typename Codec>
+std::string encode_dataset(std::span<const typename Codec::Record> records,
                            std::size_t block_records) {
-    DatasetEncoder<Record, Encoder> encoder(block_records);
+    DatasetEncoder<Codec> encoder(block_records);
     for (const auto& record : records) encoder.add(record);
     return encoder.finish();
 }
 
 // -- decoding ----------------------------------------------------------------
 
-struct ParsedContainer {
-    std::string_view data;
-    std::vector<PeerAddress> dict;
-    struct Block {
-        ProbeId probe;
-        std::uint64_t count;
-        std::size_t offset;  ///< absolute, at the block's probe varint
-        std::size_t size;    ///< bytes up to the next block / footer
-    };
-    std::vector<Block> blocks;  ///< file order
+struct Block {
+    ProbeId probe;
+    std::uint64_t count;
+    std::size_t offset;  ///< absolute, at the block's probe varint
+    std::size_t size;    ///< bytes up to the next block / footer
 };
 
-/// Parses header, tail and footer; blocks stay untouched (decoded on
-/// demand, straight from the mapped bytes).
-ParsedContainer parse_container(std::string_view data, DatasetKind expect) {
+/// A parsed .dab file: the footer's dictionary and block index. Block
+/// bytes stay in `data`, decoded on demand.
+struct Container {
+    std::string_view data;
+    Dict dict;
+    std::vector<Block> blocks;  ///< file order; DatasetFile sorts by probe
+};
+
+/// The tail's footer offset; `data` holds at least the tail.
+std::uint64_t footer_offset(std::string_view data) {
+    return ByteCursor(data.substr(data.size() - kTailSize)).u64_le();
+}
+
+/// Parses header, tail and footer; blocks stay untouched.
+template <typename Codec>
+Container parse_container(std::string_view data) {
     if (data.size() < kHeaderSize + kTailSize)
         throw ParseError("binary bundle: file too small (" +
                          std::to_string(data.size()) + " bytes)");
     if (data.compare(0, 4, kHeaderMagic, 4) != 0)
         throw ParseError("binary bundle: bad header magic");
-    if (std::uint8_t(data[4]) != std::uint8_t(expect))
+    if (std::uint8_t(data[4]) != Codec::kind)
         throw ParseError("binary bundle: dataset kind mismatch (file says " +
                          std::to_string(int(std::uint8_t(data[4]))) +
-                         ", expected " + dataset_name(expect) + ")");
+                         ", expected " + Codec::name + ")");
     if (std::uint8_t(data[5]) != kFormatVersion)
         throw ParseError("binary bundle: unsupported format version " +
                          std::to_string(int(std::uint8_t(data[5]))));
     if (data.compare(data.size() - 4, 4, kTailMagic, 4) != 0)
         throw ParseError("binary bundle: bad tail magic (truncated file?)");
-    std::uint64_t footer_offset = 0;
-    for (int i = 7; i >= 0; --i)
-        footer_offset = (footer_offset << 8) |
-                        std::uint8_t(data[data.size() - kTailSize + i]);
-    if (footer_offset < kHeaderSize || footer_offset > data.size() - kTailSize)
+    const std::uint64_t footer = footer_offset(data);
+    if (footer < kHeaderSize || footer > data.size() - kTailSize)
         throw ParseError("binary bundle: footer offset " +
-                         std::to_string(footer_offset) + " out of range");
+                         std::to_string(footer) + " out of range");
 
-    ParsedContainer parsed;
+    Container parsed;
     parsed.data = data;
     ByteCursor cursor(data);
-    cursor.seek(std::size_t(footer_offset));
-    if (expect == DatasetKind::ConnectionLog) {
+    cursor.seek(std::size_t(footer));
+    if constexpr (Codec::has_dict) {
         parsed.dict = decode_dict(cursor);
     } else if (cursor.varint() != 0) {
         throw ParseError("binary bundle: unexpected dictionary in " +
-                         std::string(dataset_name(expect)));
+                         std::string(Codec::name));
     }
     const std::size_t block_count = cursor.length(cursor.remaining());
     parsed.blocks.reserve(block_count);
     std::uint64_t offset = 0;
     for (std::size_t i = 0; i < block_count; ++i) {
-        ParsedContainer::Block block;
+        Block block;
         block.probe = ProbeId(cursor.varint());
         offset += cursor.varint();
         block.offset = std::size_t(offset);
@@ -365,9 +403,8 @@ ParsedContainer parse_container(std::string_view data, DatasetKind expect) {
         auto& block = parsed.blocks[i];
         const std::size_t end = i + 1 < parsed.blocks.size()
                                     ? parsed.blocks[i + 1].offset
-                                    : std::size_t(footer_offset);
-        if (block.offset < kHeaderSize || end > footer_offset ||
-            block.offset >= end)
+                                    : std::size_t(footer);
+        if (block.offset < kHeaderSize || end > footer || block.offset >= end)
             throw ParseError("binary bundle: block " + std::to_string(i) +
                              " extent [" + std::to_string(block.offset) +
                              ", " + std::to_string(end) + ") out of range");
@@ -384,265 +421,205 @@ ParsedContainer parse_container(std::string_view data, DatasetKind expect) {
     return parsed;
 }
 
-/// Decodes one block, bounds-checked against the index entry; `emit` is
-/// called once per record.
-template <typename Emit>
-void decode_connection_block(const ParsedContainer& parsed,
-                             const ParsedContainer::Block& block, Emit&& emit) {
-    ByteCursor cursor(parsed.data.substr(block.offset, block.size));
-    const ProbeId probe = ProbeId(cursor.varint());
-    const std::uint64_t count = cursor.varint();
-    if (probe != block.probe || count != block.count)
-        throw ParseError("binary bundle: block header disagrees with index");
-    const std::size_t n = std::size_t(count);
-    std::vector<std::int64_t> starts(n);
-    std::int64_t previous = 0;
-    for (auto& start : starts) {
-        previous += cursor.varint_signed();
-        start = previous;
-    }
-    std::vector<std::int64_t> durations(n);
-    for (auto& duration : durations) duration = cursor.varint_signed();
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t dict_index = cursor.varint();
-        if (dict_index >= parsed.dict.size())
-            throw ParseError("binary bundle: address index " +
-                             std::to_string(dict_index) +
-                             " outside dictionary of " +
-                             std::to_string(parsed.dict.size()));
-        ConnectionLogEntry entry;
-        entry.probe = probe;
-        entry.start = net::TimePoint(starts[i]);
-        entry.end = net::TimePoint(starts[i] + durations[i]);
-        entry.address = parsed.dict[std::size_t(dict_index)];
-        emit(entry);
+/// parse_container, except that lenient mode turns an unreadable footer
+/// into an empty container and one rejected block: without the index
+/// there is nothing to resync on, so the whole file is lost.
+template <typename Codec>
+Container open_container(std::string_view data, bool lenient,
+                         BinaryDecodeStats& stats) {
+    try {
+        return parse_container<Codec>(data);
+    } catch (const ParseError&) {
+        if (!lenient) throw;
+        ++stats.blocks_rejected;
+        return {};
     }
 }
 
-template <typename Emit>
-void decode_kroot_block(const ParsedContainer& parsed,
-                        const ParsedContainer::Block& block, Emit&& emit) {
-    ByteCursor cursor(parsed.data.substr(block.offset, block.size));
-    const ProbeId probe = ProbeId(cursor.varint());
-    const std::uint64_t count = cursor.varint();
-    if (probe != block.probe || count != block.count)
-        throw ParseError("binary bundle: block header disagrees with index");
-    const std::size_t n = std::size_t(count);
-    std::vector<std::int64_t> timestamps(n);
-    std::int64_t previous = 0;
-    for (auto& ts : timestamps) {
-        previous += cursor.varint_signed();
-        ts = previous;
-    }
-    std::vector<std::int64_t> sent(n), success(n);
-    for (auto& v : sent) v = cursor.varint_signed();
-    for (auto& v : success) v = cursor.varint_signed();
-    for (std::size_t i = 0; i < n; ++i) {
-        KRootPingRecord record;
-        record.probe = probe;
-        record.timestamp = net::TimePoint(timestamps[i]);
-        record.sent = int(sent[i]);
-        record.success = int(success[i]);
-        record.lts_seconds = cursor.varint_signed();
-        emit(record);
-    }
-}
-
-template <typename Emit>
-void decode_uptime_block(const ParsedContainer& parsed,
-                         const ParsedContainer::Block& block, Emit&& emit) {
-    ByteCursor cursor(parsed.data.substr(block.offset, block.size));
-    const ProbeId probe = ProbeId(cursor.varint());
-    const std::uint64_t count = cursor.varint();
-    if (probe != block.probe || count != block.count)
-        throw ParseError("binary bundle: block header disagrees with index");
-    const std::size_t n = std::size_t(count);
-    std::vector<std::int64_t> timestamps(n);
-    std::int64_t previous = 0;
-    for (auto& ts : timestamps) {
-        previous += cursor.varint_signed();
-        ts = previous;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        UptimeRecord record;
-        record.probe = probe;
-        record.timestamp = net::TimePoint(timestamps[i]);
-        record.uptime_seconds = cursor.varint();
-        emit(record);
-    }
-}
-
-template <typename Emit>
-void decode_probes_block(const ParsedContainer& parsed,
-                         const ParsedContainer::Block& block, Emit&& emit) {
-    ByteCursor cursor(parsed.data.substr(block.offset, block.size));
-    const ProbeId probe = ProbeId(cursor.varint());
-    const std::uint64_t count = cursor.varint();
-    if (probe != block.probe || count != block.count)
-        throw ParseError("binary bundle: block header disagrees with index");
-    for (std::uint64_t i = 0; i < count; ++i) {
-        ProbeMetadata meta;
-        meta.probe = probe;
-        const int version = int(cursor.u8());
-        if (version < 1 || version > 3)
-            throw ParseError("binary bundle: bad probe version " +
-                             std::to_string(version));
-        meta.version = ProbeVersion(version);
-        meta.country_code =
-            std::string(cursor.bytes(cursor.length(cursor.remaining())));
-        const std::size_t tags = cursor.length(cursor.remaining());
-        meta.tags.reserve(tags);
-        for (std::size_t t = 0; t < tags; ++t)
-            meta.tags.emplace_back(
-                cursor.bytes(cursor.length(cursor.remaining())));
-        emit(meta);
-    }
-}
-
-/// Walks blocks in `order`, decoding each with `decode`; lenient mode
-/// swallows per-block ParseErrors and tallies them.
-template <typename DecodeBlock>
-void for_each_block(const ParsedContainer& parsed,
-                    std::span<const ParsedContainer::Block> order,
-                    bool lenient, BinaryDecodeStats* stats,
-                    DecodeBlock&& decode) {
-    for (const auto& block : order) {
+/// Appends the records of `blocks` to `out`, checking each block's header
+/// against its index entry. A block that fails to parse is removed whole
+/// — never half-emitted — then lenient mode counts it and moves on to the
+/// next indexed block, and strict mode rethrows.
+template <typename Codec>
+void decode_blocks(const Container& parsed, std::span<const Block> blocks,
+                   bool lenient, BinaryDecodeStats& stats,
+                   std::vector<typename Codec::Record>& out) {
+    for (const Block& block : blocks) {
+        const std::size_t mark = out.size();
         try {
-            decode(block);
+            ByteCursor in(parsed.data.substr(block.offset, block.size));
+            const ProbeId probe = ProbeId(in.varint());
+            const std::uint64_t count = in.varint();
+            if (probe != block.probe || count != block.count)
+                throw ParseError(
+                    "binary bundle: block header disagrees with index");
+            out.resize(mark + std::size_t(count));
+            const std::span<typename Codec::Record> rows(out.data() + mark,
+                                                         std::size_t(count));
+            for (auto& row : rows) row.probe = probe;
+            Codec::decode(in, rows, parsed.dict);
         } catch (const ParseError&) {
+            out.resize(mark);
             if (!lenient) throw;
-            if (stats != nullptr) {
-                stats->rows_rejected += std::size_t(block.count);
-                ++stats->blocks_rejected;
-            }
+            stats.rows_rejected += std::size_t(block.count);
+            ++stats.blocks_rejected;
         }
     }
 }
 
-/// Decodes `block` into a scratch buffer and forwards records to `sink`
-/// only once the whole block has parsed. The column decoders emit record
-/// by record, but the lenient contract is "drop the offending block":
-/// without staging, a ParseError halfway through a block would leave the
-/// already-emitted half in the output (or worse, already pushed into a
-/// streaming handler that cannot un-see it) while the whole block's count
-/// is tallied as rejected.
-template <typename Record, typename DecodeFn, typename Sink>
-void decode_block_staged(const ParsedContainer& parsed,
-                         const ParsedContainer::Block& block,
-                         DecodeFn&& decode_fn, Sink&& sink) {
-    std::vector<Record> staged;
-    staged.reserve(std::size_t(block.count));
-    decode_fn(parsed, block,
-              [&](const Record& record) { staged.push_back(record); });
-    for (Record& record : staged) sink(std::move(record));
-}
-
-template <typename Record, typename DecodeBlock>
-std::vector<Record> decode_dataset(std::string_view data, DatasetKind kind,
-                                   bool lenient, BinaryDecodeStats* stats,
-                                   DecodeBlock&& decode_block) {
-    std::vector<Record> records;
-    ParsedContainer parsed;
-    try {
-        parsed = parse_container(data, kind);
-    } catch (const ParseError&) {
-        // Without a readable footer there is no index to resync on: the
-        // whole file is lost even leniently.
-        if (!lenient) throw;
-        if (stats != nullptr) ++stats->blocks_rejected;
-        return records;
-    }
-    for_each_block(parsed, parsed.blocks, lenient, stats,
-                   [&](const ParsedContainer::Block& block) {
-                       decode_block_staged<Record>(
-                           parsed, block, decode_block,
-                           [&](Record&& record) {
-                               records.push_back(std::move(record));
-                           });
-                   });
+/// In-memory decode, in file order (the fuzz round-trip oracle compares
+/// against exactly that order).
+template <typename Codec>
+std::vector<typename Codec::Record> decode_dataset(std::string_view data,
+                                                   bool lenient,
+                                                   BinaryDecodeStats* stats) {
+    BinaryDecodeStats local;
+    BinaryDecodeStats& tally = stats != nullptr ? *stats : local;
+    const Container parsed = open_container<Codec>(data, lenient, tally);
+    std::vector<typename Codec::Record> records;
+    decode_blocks<Codec>(parsed, parsed.blocks, lenient, tally, records);
     return records;
 }
 
-// -- file plumbing -----------------------------------------------------------
-
-/// Maps a .dab file; with CSV-style faults planned, copies and garbles
-/// the block region (header, footer and tail stay intact, mirroring the
-/// CSV corrupter's header-preserving contract). Returns the corrupted
-/// copy in `scratch` when faulting, else an empty optional.
-struct LoadedDataset {
-    net::ByteSource source;
-    std::string scratch;
-    bool faulted = false;
-
-    [[nodiscard]] std::string_view view() const {
-        return faulted ? std::string_view(scratch) : source.view();
-    }
-};
-
-LoadedDataset load_dataset(const std::filesystem::path& path,
-                           DatasetKind kind) {
-    LoadedDataset loaded;
-    try {
-        loaded.source = net::ByteSource::map_file(path.string());
-    } catch (const Error& e) {
-        throw Error("cannot open " + path.string() + " for reading (dataset " +
-                    dataset_name(kind) + "): " + e.what());
-    }
-    sim::FaultInjector* injector = sim::fault_injector();
-    if (injector != nullptr && injector->plan().csv.any()) {
-        loaded.scratch = std::string(loaded.source.view());
-        loaded.faulted = true;
-        if (loaded.scratch.size() >= kHeaderSize + kTailSize) {
-            std::uint64_t footer_offset = 0;
-            for (int i = 7; i >= 0; --i)
-                footer_offset =
-                    (footer_offset << 8) |
-                    std::uint8_t(
-                        loaded.scratch[loaded.scratch.size() - kTailSize + i]);
-            const std::size_t end = std::min(std::size_t(footer_offset),
-                                             loaded.scratch.size() - kTailSize);
-            injector->corrupt_binary(loaded.scratch, kHeaderSize, end);
-        }
-    }
-    return loaded;
-}
-
-template <typename Record, typename DecodeBlock>
-std::vector<Record> read_dataset_file(const std::filesystem::path& path,
-                                      DatasetKind kind, bool lenient,
-                                      DecodeBlock&& decode_block) {
-    const LoadedDataset loaded = load_dataset(path, kind);
-    const bool effective_lenient = lenient || loaded.faulted;
-    BinaryDecodeStats stats;
-    std::vector<Record> records;
-    try {
-        records = decode_dataset<Record>(loaded.view(), kind,
-                                         effective_lenient, &stats,
-                                         decode_block);
-    } catch (const ParseError& e) {
-        throw Error("reading dataset " + std::string(dataset_name(kind)) +
-                    " (" + path.string() + "): " + e.what());
-    }
+void count_rejections(const BinaryDecodeStats& stats) {
     if (stats.rows_rejected > 0)
         obs::counter("faults.binary.rows_rejected").inc(stats.rows_rejected);
     if (stats.blocks_rejected > 0)
         obs::counter("faults.binary.blocks_rejected")
             .inc(stats.blocks_rejected);
+}
+
+/// One dataset file opened for reading: the load path both bundle readers
+/// share. It maps the file; garbles the block region under an installed
+/// fault plan with CSV faults (header, footer and tail stay intact,
+/// mirroring the CSV corrupter's header-preserving contract) and then
+/// reads leniently; parses the footer; and stable-sorts the block index by
+/// probe, so a probe's blocks come out grouped, in file order, however
+/// the writer interleaved them. Every error names the dataset and path.
+template <typename Codec>
+class DatasetFile {
+public:
+    using Record = typename Codec::Record;
+
+    DatasetFile(const fs::path& directory, bool lenient)
+        : path_(directory / file_name<Codec>()), lenient_(lenient) {
+        try {
+            source_ = net::ByteSource::map_file(path_.string());
+        } catch (const Error& e) {
+            throw Error("cannot open " + path_.string() +
+                        " for reading (dataset " + Codec::name +
+                        "): " + e.what());
+        }
+        std::string_view data = source_.view();
+        sim::FaultInjector* injector = sim::fault_injector();
+        if (injector != nullptr && injector->plan().csv.any()) {
+            garbled_ = std::string(data);
+            lenient_ = true;
+            if (garbled_.size() >= kHeaderSize + kTailSize)
+                injector->corrupt_binary(
+                    garbled_, kHeaderSize,
+                    std::size_t(std::min<std::uint64_t>(
+                        footer_offset(garbled_), garbled_.size() - kTailSize)));
+            data = garbled_;
+        }
+        BinaryDecodeStats stats;
+        try {
+            parsed_ = open_container<Codec>(data, lenient_, stats);
+        } catch (const ParseError& e) {
+            throw named(e);
+        }
+        count_rejections(stats);
+        std::stable_sort(
+            parsed_.blocks.begin(), parsed_.blocks.end(),
+            [](const Block& a, const Block& b) { return a.probe < b.probe; });
+    }
+    DatasetFile(const DatasetFile&) = delete;
+    DatasetFile& operator=(const DatasetFile&) = delete;
+
+    /// The block index in ascending probe order.
+    [[nodiscard]] std::span<const Block> blocks() const {
+        return parsed_.blocks;
+    }
+
+    /// decode_blocks with this file's leniency; rejections land on the
+    /// faults.binary.* counters.
+    void decode(std::span<const Block> blocks, std::vector<Record>& out) const {
+        BinaryDecodeStats stats;
+        try {
+            decode_blocks<Codec>(parsed_, blocks, lenient_, stats, out);
+        } catch (const ParseError& e) {
+            throw named(e);
+        }
+        count_rejections(stats);
+    }
+
+private:
+    [[nodiscard]] Error named(const ParseError& e) const {
+        return Error("reading dataset " + std::string(Codec::name) + " (" +
+                     path_.string() + "): " + e.what());
+    }
+
+    fs::path path_;
+    bool lenient_;
+    net::ByteSource source_;
+    std::string garbled_;  ///< the fault-garbled copy `parsed_` views, if any
+    Container parsed_;
+};
+
+/// The batch read of one dataset, blocks in probe order.
+template <typename Codec>
+std::vector<typename Codec::Record> read_dataset(const fs::path& directory,
+                                                 bool lenient) {
+    obs::ObsSpan span(std::string("datasets.read_") + Codec::name, "io");
+    const DatasetFile<Codec> file(directory, lenient);
+    std::vector<typename Codec::Record> records;
+    file.decode(file.blocks(), records);
     return records;
 }
 
-void write_file(const std::filesystem::path& path, DatasetKind kind,
-                std::string_view body) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        throw Error("cannot open " + path.string() + " for writing (dataset " +
-                    dataset_name(kind) + ")");
-    out.write(body.data(), std::streamsize(body.size()));
-    out.flush();
-    if (!out)
-        throw Error("write failed on " + path.string() + " (dataset " +
-                    dataset_name(kind) + ")");
+/// Hands the records of `blocks` to `emit` one block at a time, each only
+/// once its whole block has parsed: a lenient drop must not leave half a
+/// block in a handler that cannot un-see it.
+template <typename Codec, typename Emit>
+void emit_blocks(const DatasetFile<Codec>& file, std::span<const Block> blocks,
+                 Emit& emit) {
+    std::vector<typename Codec::Record> staged;
+    for (const Block& block : blocks) {
+        staged.clear();
+        file.decode({&block, 1}, staged);
+        for (const auto& record : staged) emit(record);
+    }
 }
+
+/// One record channel of the streaming reader's ascending-probe merge.
+template <typename Codec, typename Emit>
+class MergeChannel {
+public:
+    MergeChannel(const DatasetFile<Codec>& file, Emit emit)
+        : file_(file), emit_(std::move(emit)) {}
+
+    [[nodiscard]] bool pending() const {
+        return next_ < file_.blocks().size();
+    }
+    /// The next block's probe; max() once drained.
+    [[nodiscard]] ProbeId head() const {
+        return pending() ? file_.blocks()[next_].probe
+                         : std::numeric_limits<ProbeId>::max();
+    }
+    /// Emits every block of `probe` at the head of the channel.
+    void drain(ProbeId probe) {
+        const auto blocks = file_.blocks();
+        std::size_t end = next_;
+        while (end < blocks.size() && blocks[end].probe == probe) ++end;
+        emit_blocks(file_, blocks.subspan(next_, end - next_), emit_);
+        next_ = end;
+    }
+
+private:
+    const DatasetFile<Codec>& file_;
+    Emit emit_;
+    std::size_t next_ = 0;
+};
 
 }  // namespace
 
@@ -650,70 +627,55 @@ void write_file(const std::filesystem::path& path, DatasetKind kind,
 
 std::string encode_connection_log_binary(
     std::span<const ConnectionLogEntry> entries, std::size_t block_records) {
-    return encode_dataset<ConnectionLogEntry, ConnectionEncoder>(
-        entries, block_records);
+    return encode_dataset<ConnectionCodec>(entries, block_records);
 }
 
 std::string encode_kroot_binary(std::span<const KRootPingRecord> records,
                                 std::size_t block_records) {
-    return encode_dataset<KRootPingRecord, KRootEncoder>(records,
-                                                         block_records);
+    return encode_dataset<KRootCodec>(records, block_records);
 }
 
 std::string encode_uptime_binary(std::span<const UptimeRecord> records,
                                  std::size_t block_records) {
-    return encode_dataset<UptimeRecord, UptimeEncoder>(records, block_records);
+    return encode_dataset<UptimeCodec>(records, block_records);
 }
 
 std::string encode_probes_binary(std::span<const ProbeMetadata> probes,
                                  std::size_t block_records) {
-    return encode_dataset<ProbeMetadata, ProbesEncoder>(probes, block_records);
+    return encode_dataset<ProbesCodec>(probes, block_records);
 }
 
 std::vector<ConnectionLogEntry> decode_connection_log_binary(
     std::string_view data, bool lenient, BinaryDecodeStats* stats) {
-    return decode_dataset<ConnectionLogEntry>(
-        data, DatasetKind::ConnectionLog, lenient, stats,
-        [](const ParsedContainer& parsed, const ParsedContainer::Block& block,
-           auto&& emit) { decode_connection_block(parsed, block, emit); });
+    return decode_dataset<ConnectionCodec>(data, lenient, stats);
 }
 
 std::vector<KRootPingRecord> decode_kroot_binary(std::string_view data,
                                                  bool lenient,
                                                  BinaryDecodeStats* stats) {
-    return decode_dataset<KRootPingRecord>(
-        data, DatasetKind::KRoot, lenient, stats,
-        [](const ParsedContainer& parsed, const ParsedContainer::Block& block,
-           auto&& emit) { decode_kroot_block(parsed, block, emit); });
+    return decode_dataset<KRootCodec>(data, lenient, stats);
 }
 
 std::vector<UptimeRecord> decode_uptime_binary(std::string_view data,
                                                bool lenient,
                                                BinaryDecodeStats* stats) {
-    return decode_dataset<UptimeRecord>(
-        data, DatasetKind::Uptime, lenient, stats,
-        [](const ParsedContainer& parsed, const ParsedContainer::Block& block,
-           auto&& emit) { decode_uptime_block(parsed, block, emit); });
+    return decode_dataset<UptimeCodec>(data, lenient, stats);
 }
 
 std::vector<ProbeMetadata> decode_probes_binary(std::string_view data,
                                                 bool lenient,
                                                 BinaryDecodeStats* stats) {
-    return decode_dataset<ProbeMetadata>(
-        data, DatasetKind::Probes, lenient, stats,
-        [](const ParsedContainer& parsed, const ParsedContainer::Block& block,
-           auto&& emit) { decode_probes_block(parsed, block, emit); });
+    return decode_dataset<ProbesCodec>(data, lenient, stats);
 }
 
-// -- streaming writer --------------------------------------------------------
+// -- writer ------------------------------------------------------------------
 
 struct BinaryBundleWriter::Impl {
-    std::filesystem::path directory;
-    std::size_t block_records;
-    DatasetEncoder<ConnectionLogEntry, ConnectionEncoder> connections;
-    DatasetEncoder<KRootPingRecord, KRootEncoder> kroot;
-    DatasetEncoder<UptimeRecord, UptimeEncoder> uptime;
-    DatasetEncoder<ProbeMetadata, ProbesEncoder> probes;
+    fs::path directory;
+    DatasetEncoder<ConnectionCodec> connections;
+    DatasetEncoder<KRootCodec> kroot;
+    DatasetEncoder<UptimeCodec> uptime;
+    DatasetEncoder<ProbesCodec> probes;
     bool closed = false;
     /// Capacity accounting (mem.atlas.dab2_writer): the four encoders'
     /// bodies + buffers, published every 1024 records and at close.
@@ -731,14 +693,13 @@ struct BinaryBundleWriter::Impl {
                    records_added);
     }
 
-    Impl(std::string dir, std::size_t block_records_)
+    Impl(std::string dir, std::size_t block_records)
         : directory(std::move(dir)),
-          block_records(block_records_),
-          connections(block_records_),
-          kroot(block_records_),
-          uptime(block_records_),
-          probes(block_records_) {
-        std::filesystem::create_directories(directory);
+          connections(block_records),
+          kroot(block_records),
+          uptime(block_records),
+          probes(block_records) {
+        fs::create_directories(directory);
     }
 };
 
@@ -779,14 +740,10 @@ void BinaryBundleWriter::close() {
     if (impl_->closed) return;
     impl_->closed = true;
     impl_->publish_mem();
-    write_file(impl_->directory / dataset_file(DatasetKind::ConnectionLog),
-               DatasetKind::ConnectionLog, impl_->connections.finish());
-    write_file(impl_->directory / dataset_file(DatasetKind::KRoot),
-               DatasetKind::KRoot, impl_->kroot.finish());
-    write_file(impl_->directory / dataset_file(DatasetKind::Uptime),
-               DatasetKind::Uptime, impl_->uptime.finish());
-    write_file(impl_->directory / dataset_file(DatasetKind::Probes),
-               DatasetKind::Probes, impl_->probes.finish());
+    impl_->connections.write(impl_->directory);
+    impl_->kroot.write(impl_->directory);
+    impl_->uptime.write(impl_->directory);
+    impl_->probes.write(impl_->directory);
 }
 
 // -- whole-bundle I/O --------------------------------------------------------
@@ -796,61 +753,23 @@ void write_binary_bundle(const std::string& directory,
                          std::size_t block_records) {
     obs::ObsSpan span("datasets.write_binary_bundle", "io",
                       &obs::latency_histogram("datasets.write_binary_bundle"));
-    const std::filesystem::path dir(directory);
-    std::filesystem::create_directories(dir);
-    write_file(dir / dataset_file(DatasetKind::ConnectionLog),
-               DatasetKind::ConnectionLog,
-               encode_connection_log_binary(bundle.connection_log,
-                                            block_records));
-    write_file(dir / dataset_file(DatasetKind::KRoot), DatasetKind::KRoot,
-               encode_kroot_binary(bundle.kroot_pings, block_records));
-    write_file(dir / dataset_file(DatasetKind::Uptime), DatasetKind::Uptime,
-               encode_uptime_binary(bundle.uptime_records, block_records));
-    write_file(dir / dataset_file(DatasetKind::Probes), DatasetKind::Probes,
-               encode_probes_binary(bundle.probes, block_records));
+    BinaryBundleWriter writer(directory, block_records);
+    for (const auto& entry : bundle.connection_log) writer.add_connection(entry);
+    for (const auto& record : bundle.kroot_pings) writer.add_kroot(record);
+    for (const auto& record : bundle.uptime_records) writer.add_uptime(record);
+    for (const auto& meta : bundle.probes) writer.add_probe(meta);
+    writer.close();
 }
 
 DatasetBundle read_binary_bundle(const std::string& directory, bool lenient) {
     obs::ObsSpan span("datasets.read_binary_bundle", "io",
                       &obs::latency_histogram("datasets.read_binary_bundle"));
-    const std::filesystem::path dir(directory);
+    const fs::path dir(directory);
     DatasetBundle bundle;
-    {
-        obs::ObsSpan part("datasets.read_connection_log", "io");
-        bundle.connection_log = read_dataset_file<ConnectionLogEntry>(
-            dir / dataset_file(DatasetKind::ConnectionLog),
-            DatasetKind::ConnectionLog, lenient,
-            [](const ParsedContainer& parsed,
-               const ParsedContainer::Block& block,
-               auto&& emit) { decode_connection_block(parsed, block, emit); });
-    }
-    {
-        obs::ObsSpan part("datasets.read_kroot", "io");
-        bundle.kroot_pings = read_dataset_file<KRootPingRecord>(
-            dir / dataset_file(DatasetKind::KRoot), DatasetKind::KRoot,
-            lenient,
-            [](const ParsedContainer& parsed,
-               const ParsedContainer::Block& block,
-               auto&& emit) { decode_kroot_block(parsed, block, emit); });
-    }
-    {
-        obs::ObsSpan part("datasets.read_uptime", "io");
-        bundle.uptime_records = read_dataset_file<UptimeRecord>(
-            dir / dataset_file(DatasetKind::Uptime), DatasetKind::Uptime,
-            lenient,
-            [](const ParsedContainer& parsed,
-               const ParsedContainer::Block& block,
-               auto&& emit) { decode_uptime_block(parsed, block, emit); });
-    }
-    {
-        obs::ObsSpan part("datasets.read_probes", "io");
-        bundle.probes = read_dataset_file<ProbeMetadata>(
-            dir / dataset_file(DatasetKind::Probes), DatasetKind::Probes,
-            lenient,
-            [](const ParsedContainer& parsed,
-               const ParsedContainer::Block& block,
-               auto&& emit) { decode_probes_block(parsed, block, emit); });
-    }
+    bundle.connection_log = read_dataset<ConnectionCodec>(dir, lenient);
+    bundle.kroot_pings = read_dataset<KRootCodec>(dir, lenient);
+    bundle.uptime_records = read_dataset<UptimeCodec>(dir, lenient);
+    bundle.probes = read_dataset<ProbesCodec>(dir, lenient);
     obs::counter("datasets.rows_read")
         .inc(bundle.connection_log.size() + bundle.kroot_pings.size() +
              bundle.uptime_records.size() + bundle.probes.size());
@@ -863,9 +782,7 @@ DatasetBundle read_binary_bundle(const std::string& directory, bool lenient) {
 }
 
 bool binary_bundle_present(const std::string& directory) {
-    return std::filesystem::exists(
-        std::filesystem::path(directory) /
-        dataset_file(DatasetKind::ConnectionLog));
+    return fs::exists(fs::path(directory) / file_name<ConnectionCodec>());
 }
 
 DatasetBundle read_bundle_auto(const std::string& directory) {
@@ -873,137 +790,33 @@ DatasetBundle read_bundle_auto(const std::string& directory) {
                                             : read_bundle(directory);
 }
 
-// -- streaming read path -----------------------------------------------------
-
 void stream_binary_bundle(const std::string& directory,
                           BundleStreamHandler& handler, bool lenient) {
     obs::ObsSpan span("datasets.stream_binary_bundle", "io",
                       &obs::latency_histogram("datasets.stream_binary_bundle"));
-    const std::filesystem::path dir(directory);
+    const fs::path dir(directory);
+    const DatasetFile<ConnectionCodec> connections(dir, lenient);
+    const DatasetFile<KRootCodec> kroot(dir, lenient);
+    const DatasetFile<UptimeCodec> uptime(dir, lenient);
+    const DatasetFile<ProbesCodec> probes(dir, lenient);
 
-    struct Dataset {
-        DatasetKind kind;
-        LoadedDataset loaded;
-        ParsedContainer parsed;
-        std::vector<ParsedContainer::Block> by_probe;  ///< stable by probe
-        bool effective_lenient = false;
-    };
-    auto load = [&](DatasetKind kind) {
-        Dataset dataset;
-        dataset.kind = kind;
-        dataset.loaded = load_dataset(dir / dataset_file(kind), kind);
-        dataset.effective_lenient = lenient || dataset.loaded.faulted;
-        try {
-            dataset.parsed = parse_container(dataset.loaded.view(), kind);
-        } catch (const ParseError& e) {
-            if (!dataset.effective_lenient)
-                throw Error("reading dataset " +
-                            std::string(dataset_name(kind)) + " (" +
-                            (dir / dataset_file(kind)).string() +
-                            "): " + e.what());
-            obs::counter("faults.binary.blocks_rejected").inc();
-        }
-        dataset.by_probe = dataset.parsed.blocks;
-        std::stable_sort(dataset.by_probe.begin(), dataset.by_probe.end(),
-                         [](const ParsedContainer::Block& a,
-                            const ParsedContainer::Block& b) {
-                             return a.probe < b.probe;
-                         });
-        return dataset;
-    };
+    // Metadata first: every probe's version is known before any seals.
+    auto on_metadata = [&](const ProbeMetadata& m) { handler.on_metadata(m); };
+    emit_blocks(probes, probes.blocks(), on_metadata);
 
-    Dataset connections = load(DatasetKind::ConnectionLog);
-    Dataset kroot = load(DatasetKind::KRoot);
-    Dataset uptime = load(DatasetKind::Uptime);
-    Dataset probes = load(DatasetKind::Probes);
-
-    BinaryDecodeStats stats;
-    // Metadata first, in file order — the version map is last-wins and
-    // geography follows archive order, matching the batch reader.
-    for_each_block(
-        probes.parsed, probes.parsed.blocks, probes.effective_lenient, &stats,
-        [&](const ParsedContainer::Block& block) {
-            decode_block_staged<ProbeMetadata>(
-                probes.parsed, block,
-                [](const ParsedContainer& parsed,
-                   const ParsedContainer::Block& inner,
-                   auto&& emit) { decode_probes_block(parsed, inner, emit); },
-                [&](const ProbeMetadata& meta) { handler.on_metadata(meta); });
-        });
-
-    // Ascending-probe merge over the three record channels.
-    std::size_t ci = 0, ki = 0, ui = 0;
-    while (ci < connections.by_probe.size() || ki < kroot.by_probe.size() ||
-           ui < uptime.by_probe.size()) {
-        ProbeId next = std::numeric_limits<ProbeId>::max();
-        if (ci < connections.by_probe.size())
-            next = std::min(next, connections.by_probe[ci].probe);
-        if (ki < kroot.by_probe.size())
-            next = std::min(next, kroot.by_probe[ki].probe);
-        if (ui < uptime.by_probe.size())
-            next = std::min(next, uptime.by_probe[ui].probe);
-
-        while (ci < connections.by_probe.size() &&
-               connections.by_probe[ci].probe == next) {
-            for_each_block(
-                connections.parsed, {&connections.by_probe[ci], 1},
-                connections.effective_lenient, &stats,
-                [&](const ParsedContainer::Block& block) {
-                    decode_block_staged<ConnectionLogEntry>(
-                        connections.parsed, block,
-                        [](const ParsedContainer& parsed,
-                           const ParsedContainer::Block& inner, auto&& emit) {
-                            decode_connection_block(parsed, inner, emit);
-                        },
-                        [&](const ConnectionLogEntry& entry) {
-                            handler.on_connection(entry);
-                        });
-                });
-            ++ci;
-        }
-        while (ki < kroot.by_probe.size() &&
-               kroot.by_probe[ki].probe == next) {
-            for_each_block(
-                kroot.parsed, {&kroot.by_probe[ki], 1},
-                kroot.effective_lenient, &stats,
-                [&](const ParsedContainer::Block& block) {
-                    decode_block_staged<KRootPingRecord>(
-                        kroot.parsed, block,
-                        [](const ParsedContainer& parsed,
-                           const ParsedContainer::Block& inner, auto&& emit) {
-                            decode_kroot_block(parsed, inner, emit);
-                        },
-                        [&](const KRootPingRecord& record) {
-                            handler.on_kroot(record);
-                        });
-                });
-            ++ki;
-        }
-        while (ui < uptime.by_probe.size() &&
-               uptime.by_probe[ui].probe == next) {
-            for_each_block(
-                uptime.parsed, {&uptime.by_probe[ui], 1},
-                uptime.effective_lenient, &stats,
-                [&](const ParsedContainer::Block& block) {
-                    decode_block_staged<UptimeRecord>(
-                        uptime.parsed, block,
-                        [](const ParsedContainer& parsed,
-                           const ParsedContainer::Block& inner, auto&& emit) {
-                            decode_uptime_block(parsed, inner, emit);
-                        },
-                        [&](const UptimeRecord& record) {
-                            handler.on_uptime(record);
-                        });
-                });
-            ++ui;
-        }
+    MergeChannel c(connections, [&](const ConnectionLogEntry& e) {
+        handler.on_connection(e);
+    });
+    MergeChannel k(kroot,
+                   [&](const KRootPingRecord& r) { handler.on_kroot(r); });
+    MergeChannel u(uptime, [&](const UptimeRecord& r) { handler.on_uptime(r); });
+    while (c.pending() || k.pending() || u.pending()) {
+        const ProbeId next = std::min({c.head(), k.head(), u.head()});
+        c.drain(next);
+        k.drain(next);
+        u.drain(next);
         handler.on_probe_complete(next);
     }
-    if (stats.rows_rejected > 0)
-        obs::counter("faults.binary.rows_rejected").inc(stats.rows_rejected);
-    if (stats.blocks_rejected > 0)
-        obs::counter("faults.binary.blocks_rejected")
-            .inc(stats.blocks_rejected);
 }
 
 }  // namespace dynaddr::atlas

@@ -19,10 +19,12 @@
 // O(block) bytes at a time, and shards can divide the probe space without
 // parsing each other's blocks.
 //
-// Record order within a probe is preserved exactly (blocks in file order,
-// records in block order), so CSV -> binary -> CSV round-trips bundles
-// written per-probe sorted (DatasetBundle::sort(), the simulator's output
-// and `dynaddr convert` both qualify) byte-identically.
+// Both file readers return each dataset grouped by probe, ascending, with
+// record order within a probe preserved exactly (a probe's blocks in file
+// order, records in block order). So CSV -> binary -> CSV round-trips
+// bundles written per-probe sorted (DatasetBundle::sort() and `dynaddr
+// convert` both qualify) byte-identically, and a bundle teed from the
+// simulator, probes interleaved, still reads back grouped by probe.
 //
 // Lenient decoding (fault-garbled input) drops the offending block,
 // counts its rows as rejected — the binary analogue of the CSV readers'
@@ -40,9 +42,8 @@
 namespace dynaddr::atlas {
 
 /// Push-based consumer of dataset records. The simulator's controller
-/// emits into one of these when installed, letting the binary writer
-/// persist records as they happen instead of buffering a whole
-/// DatasetBundle in memory first.
+/// emits into one of these when installed, so the binary writer receives
+/// records as they happen.
 class BundleSink {
 public:
     virtual ~BundleSink() = default;
@@ -52,11 +53,11 @@ public:
     virtual void add_probe(const ProbeMetadata& meta) = 0;
 };
 
-/// Streaming writer: appends records into per-probe columnar blocks,
-/// flushing a block to disk when it reaches `block_records` records or
-/// the incoming probe id changes. close() (or destruction) writes the
-/// footers; a writer left unclosed by an exception leaves truncated but
-/// detectably-invalid files (no tail magic).
+/// Incremental writer: appends records into per-probe columnar blocks,
+/// closing a block when it reaches `block_records` records or the
+/// incoming probe id changes. Blocks are held in memory; close() (or
+/// destruction) writes every file, footer and tail included, and until
+/// then nothing is on disk.
 class BinaryBundleWriter final : public BundleSink {
 public:
     explicit BinaryBundleWriter(const std::string& directory,
@@ -121,11 +122,11 @@ void write_binary_bundle(const std::string& directory,
                          const DatasetBundle& bundle,
                          std::size_t block_records = 512);
 
-/// Reads a binary bundle. Strict by default; with an installed fault
-/// injector whose CSV fault rate is active, the blobs are garbled like
-/// the CSV readers' rows and decoded leniently, counting the
-/// faults.binary.rows_rejected metric. Errors name both the dataset and
-/// the offending path.
+/// Reads a binary bundle, each dataset grouped by probe (see above).
+/// Strict by default; with an installed fault injector whose CSV fault
+/// rate is active, the blobs are garbled like the CSV readers' rows and
+/// decoded leniently, counting the faults.binary.rows_rejected metric.
+/// Errors name both the dataset and the offending path.
 DatasetBundle read_binary_bundle(const std::string& directory,
                                  bool lenient = false);
 
@@ -147,8 +148,8 @@ public:
     virtual void on_probe_complete(ProbeId probe) = 0;
 };
 
-/// Streams a binary bundle in ascending-probe order: all metadata first
-/// (file order), then each probe's connection/kroot/uptime records
+/// Streams a binary bundle in ascending-probe order: all metadata first,
+/// then each probe's connection/kroot/uptime records
 /// followed by on_probe_complete — exactly the StreamingPipeline feed
 /// contract — touching O(block) bytes at a time via the footer index.
 void stream_binary_bundle(const std::string& directory,

@@ -39,10 +39,9 @@ public:
     void record_uptime(const UptimeRecord& record);
 
     /// Tees every recorded connection/uptime record into `sink` as it
-    /// happens (nullptr clears). A streaming BinaryBundleWriter installed
-    /// here flushes columnar blocks to disk while the simulation runs,
-    /// instead of waiting for the post-run drain. The sink must outlive
-    /// the controller's recording.
+    /// happens (nullptr clears). A BinaryBundleWriter installed here
+    /// encodes blocks as records arrive but holds them in memory until
+    /// its close(). The sink must outlive the controller's recording.
     void set_sink(BundleSink* sink) { sink_ = sink; }
 
     [[nodiscard]] const std::vector<ConnectionLogEntry>& connection_log() const {

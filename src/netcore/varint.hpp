@@ -40,6 +40,13 @@ inline void put_varint_signed(std::string& out, std::int64_t value) {
     put_varint(out, zigzag_encode(value));
 }
 
+/// Appends `value` as 8 little-endian bytes: the fixed-width footer
+/// offset in the tail of the columnar containers (DAB2, DCL1).
+inline void put_u64_le(std::string& out, std::uint64_t value) {
+    for (int shift = 0; shift < 64; shift += 8)
+        out.push_back(static_cast<char>((value >> shift) & 0xFF));
+}
+
 /// Zero-copy reader over an immutable byte buffer. Never reads past the
 /// end: a truncated or overlong field throws ParseError naming the
 /// offset, which the lenient bundle reader turns into a rejected block.
@@ -86,6 +93,15 @@ public:
     }
 
     std::int64_t varint_signed() { return zigzag_decode(varint()); }
+
+    /// The inverse of put_u64_le.
+    std::uint64_t u64_le() {
+        const std::string_view raw = bytes(8);
+        std::uint64_t value = 0;
+        for (int i = 7; i >= 0; --i)
+            value = (value << 8) | static_cast<std::uint8_t>(raw[i]);
+        return value;
+    }
 
     /// A varint that must fit a size_t used for counts/lengths; capped so
     /// hostile lengths cannot drive huge allocations before bounds checks.

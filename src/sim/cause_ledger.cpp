@@ -6,6 +6,7 @@
 
 #include "netcore/error.hpp"
 #include "netcore/obs/metrics.hpp"
+#include "netcore/varint.hpp"
 
 namespace dynaddr::sim {
 
@@ -437,68 +438,36 @@ std::vector<CauseRecord> cause_ledger_from_csv(std::string_view text,
 
 namespace {
 
+using net::ByteCursor;
+using net::put_varint;
+using net::put_varint_signed;
+
 constexpr char kMagic[4] = {'D', 'C', 'L', '1'};
 constexpr char kTailMagic[4] = {'D', 'C', 'L', 'E'};
 constexpr std::uint8_t kBlockTag = 0xB1;
 constexpr std::uint8_t kFooterTag = 0xFE;
-
-void put_varint(std::string& out, std::uint64_t value) {
-    while (value >= 0x80) {
-        out.push_back(char(std::uint8_t(value) | 0x80));
-        value >>= 7;
-    }
-    out.push_back(char(std::uint8_t(value)));
-}
-
-std::uint64_t zigzag(std::int64_t value) {
-    return (std::uint64_t(value) << 1) ^ std::uint64_t(value >> 63);
-}
-
-std::int64_t unzigzag(std::uint64_t value) {
-    return std::int64_t(value >> 1) ^ -std::int64_t(value & 1);
-}
-
-/// Bounded byte cursor; every read throws ParseError past the end.
-struct Cursor {
-    const std::uint8_t* p;
-    const std::uint8_t* end;
-
-    std::uint8_t u8() {
-        if (p >= end) throw ParseError("cause ledger: truncated");
-        return *p++;
-    }
-    std::uint64_t varint() {
-        std::uint64_t value = 0;
-        for (int shift = 0; shift < 64; shift += 7) {
-            const std::uint8_t byte = u8();
-            value |= std::uint64_t(byte & 0x7F) << shift;
-            if ((byte & 0x80) == 0) return value;
-        }
-        throw ParseError("cause ledger: varint overflow");
-    }
-    [[nodiscard]] std::size_t remaining() const { return std::size_t(end - p); }
-};
+constexpr std::size_t kTailSize = 12;  // u64 footer offset + magic
 
 void encode_block(std::string& out, const CauseRecord* rows, std::size_t n) {
     std::string payload;
     put_varint(payload, n);
     std::int64_t prev_probe = 0, prev_client = 0, prev_at = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        put_varint(payload, zigzag(std::int64_t(rows[i].probe) - prev_probe));
+        put_varint_signed(payload, std::int64_t(rows[i].probe) - prev_probe);
         prev_probe = std::int64_t(rows[i].probe);
     }
     for (std::size_t i = 0; i < n; ++i) {
-        put_varint(payload, zigzag(std::int64_t(rows[i].client) - prev_client));
+        put_varint_signed(payload, std::int64_t(rows[i].client) - prev_client);
         prev_client = std::int64_t(rows[i].client);
     }
     for (std::size_t i = 0; i < n; ++i) {
-        put_varint(payload, zigzag(rows[i].at.unix_seconds() - prev_at));
+        put_varint_signed(payload, rows[i].at.unix_seconds() - prev_at);
         prev_at = rows[i].at.unix_seconds();
     }
     for (std::size_t i = 0; i < n; ++i)
-        put_varint(payload, zigzag((rows[i].at - rows[i].lost_at).count()));
+        put_varint_signed(payload, (rows[i].at - rows[i].lost_at).count());
     for (std::size_t i = 0; i < n; ++i)
-        put_varint(payload, zigzag((rows[i].at - rows[i].root_at).count()));
+        put_varint_signed(payload, (rows[i].at - rows[i].root_at).count());
     for (std::size_t i = 0; i < n; ++i)
         payload.push_back(char(std::uint8_t(rows[i].kind)));
     for (std::size_t i = 0; i < n; ++i)
@@ -508,15 +477,39 @@ void encode_block(std::string& out, const CauseRecord* rows, std::size_t n) {
     for (std::size_t i = 0; i < n; ++i)
         put_varint(payload, rows[i].new_addr.value());
     for (std::size_t i = 0; i < n; ++i)
-        put_varint(payload, zigzag(rows[i].root_duration.count()));
+        put_varint_signed(payload, rows[i].root_duration.count());
     out.push_back(char(kBlockTag));
     put_varint(out, payload.size());
     out += payload;
 }
 
+/// Appends footer and tail for blocks at `offsets`; the footer starts at
+/// absolute offset `footer_at`.
+void put_footer(std::string& out, std::uint64_t footer_at,
+                const std::vector<std::uint64_t>& offsets) {
+    out.push_back(char(kFooterTag));
+    put_varint(out, offsets.size());
+    for (std::uint64_t offset : offsets) put_varint(out, offset);
+    net::put_u64_le(out, footer_at);
+    out.append(kTailMagic, 4);
+}
+
+/// The footer offset named by an intact tail, if it points inside the
+/// file past the header.
+std::optional<std::uint64_t> footer_offset(std::string_view bytes) {
+    if (bytes.size() < sizeof kMagic + kTailSize ||
+        bytes.substr(bytes.size() - 4) != std::string_view(kTailMagic, 4))
+        return std::nullopt;
+    const std::uint64_t footer_at =
+        ByteCursor(bytes.substr(bytes.size() - kTailSize)).u64_le();
+    if (footer_at < sizeof kMagic || footer_at > bytes.size() - kTailSize)
+        return std::nullopt;
+    return footer_at;
+}
+
 /// Decodes one block payload. `strict` rejects out-of-range enums with
 /// ParseError; lenient drops those rows into `stats`.
-void decode_block_payload(Cursor cursor, std::vector<CauseRecord>& out,
+void decode_block_payload(ByteCursor cursor, std::vector<CauseRecord>& out,
                           bool strict, CauseDecodeStats* stats) {
     const std::uint64_t n = cursor.varint();
     // A row costs at least 10 bytes across its columns; this bounds
@@ -526,27 +519,27 @@ void decode_block_payload(Cursor cursor, std::vector<CauseRecord>& out,
     std::vector<CauseRecord> rows(n);
     std::int64_t probe = 0, client = 0, at = 0;
     for (auto& r : rows) {
-        probe += unzigzag(cursor.varint());
+        probe += cursor.varint_signed();
         r.probe = std::uint64_t(probe);
     }
     for (auto& r : rows) {
-        client += unzigzag(cursor.varint());
+        client += cursor.varint_signed();
         r.client = std::uint64_t(client);
     }
     for (auto& r : rows) {
-        at += unzigzag(cursor.varint());
+        at += cursor.varint_signed();
         r.at = net::TimePoint{at};
     }
     for (auto& r : rows)
-        r.lost_at = r.at - net::Duration{unzigzag(cursor.varint())};
+        r.lost_at = r.at - net::Duration{cursor.varint_signed()};
     for (auto& r : rows)
-        r.root_at = r.at - net::Duration{unzigzag(cursor.varint())};
+        r.root_at = r.at - net::Duration{cursor.varint_signed()};
     for (auto& r : rows) r.kind = CauseKind(cursor.u8());
     for (auto& r : rows) r.site = CauseSite(cursor.u8());
     for (auto& r : rows) r.old_addr = net::IPv4Address{std::uint32_t(cursor.varint())};
     for (auto& r : rows) r.new_addr = net::IPv4Address{std::uint32_t(cursor.varint())};
     for (auto& r : rows)
-        r.root_duration = net::Duration{unzigzag(cursor.varint())};
+        r.root_duration = net::Duration{cursor.varint_signed()};
     if (cursor.remaining() != 0)
         throw ParseError("cause ledger: trailing bytes in block payload");
     for (auto& r : rows) {
@@ -578,13 +571,7 @@ std::string encode_cause_ledger(const std::vector<CauseRecord>& records) {
         encode_block(out, records.data() + i,
                      std::min(kBlockRecords, records.size() - i));
     }
-    const std::uint64_t footer_at = out.size();
-    out.push_back(char(kFooterTag));
-    put_varint(out, offsets.size());
-    for (std::uint64_t offset : offsets) put_varint(out, offset);
-    for (int i = 0; i < 8; ++i)
-        out.push_back(char(std::uint8_t(footer_at >> (8 * i))));
-    out.append(kTailMagic, 4);
+    put_footer(out, out.size(), offsets);
     return out;
 }
 
@@ -593,17 +580,11 @@ namespace {
 std::vector<CauseRecord> decode_strict(std::string_view bytes) {
     if (!is_cause_ledger_binary(bytes))
         throw ParseError("cause ledger: bad magic");
-    if (bytes.size() < 4 + 1 + 1 + 8 + 4)
-        throw ParseError("cause ledger: too short");
-    const auto* base = reinterpret_cast<const std::uint8_t*>(bytes.data());
-    if (!std::equal(kTailMagic, kTailMagic + 4, bytes.end() - 4))
-        throw ParseError("cause ledger: bad tail magic");
-    std::uint64_t footer_at = 0;
-    for (int i = 0; i < 8; ++i)
-        footer_at |= std::uint64_t(base[bytes.size() - 12 + i]) << (8 * i);
-    if (footer_at < 4 || footer_at > bytes.size() - 12)
-        throw ParseError("cause ledger: footer offset out of range");
-    Cursor footer{base + footer_at, base + bytes.size() - 12};
+    const std::optional<std::uint64_t> footer_at = footer_offset(bytes);
+    if (!footer_at)
+        throw ParseError("cause ledger: bad tail or footer offset");
+    ByteCursor footer(
+        bytes.substr(*footer_at, bytes.size() - kTailSize - *footer_at));
     if (footer.u8() != kFooterTag)
         throw ParseError("cause ledger: bad footer tag");
     const std::uint64_t block_count = footer.varint();
@@ -619,18 +600,16 @@ std::vector<CauseRecord> decode_strict(std::string_view bytes) {
     for (std::uint64_t offset : offsets) {
         if (offset != expect)
             throw ParseError("cause ledger: non-contiguous block offset");
-        Cursor cursor{base + offset, base + footer_at};
+        ByteCursor cursor(bytes.substr(offset, *footer_at - offset));
         if (cursor.u8() != kBlockTag)
             throw ParseError("cause ledger: bad block tag");
-        const std::uint64_t payload_len = cursor.varint();
-        if (payload_len > cursor.remaining())
-            throw ParseError("cause ledger: block payload out of range");
-        const std::uint8_t* payload = cursor.p;
-        decode_block_payload({payload, payload + payload_len}, records,
-                             /*strict=*/true, nullptr);
-        expect = std::uint64_t(payload + payload_len - base);
+        const std::string_view payload =
+            cursor.bytes(cursor.length(cursor.remaining()));
+        decode_block_payload(ByteCursor(payload), records, /*strict=*/true,
+                             nullptr);
+        expect = offset + cursor.offset();
     }
-    if (expect != footer_at)
+    if (expect != *footer_at)
         throw ParseError("cause ledger: gap between blocks and footer");
     return records;
 }
@@ -642,17 +621,10 @@ std::vector<CauseRecord> decode_lenient(std::string_view bytes,
         if (stats != nullptr) ++stats->blocks_rejected;
         return records;
     }
-    const auto* base = reinterpret_cast<const std::uint8_t*>(bytes.data());
-    std::size_t data_end = bytes.size();
-    if (data_end >= 12 &&
-        std::equal(kTailMagic, kTailMagic + 4, bytes.end() - 4)) {
-        std::uint64_t footer_at = 0;
-        for (int i = 0; i < 8; ++i)
-            footer_at |= std::uint64_t(base[bytes.size() - 12 + i]) << (8 * i);
-        if (footer_at >= 4 && footer_at <= bytes.size() - 12)
-            data_end = std::size_t(footer_at);
-    }
-    Cursor cursor{base + 4, base + data_end};
+    // A torn file (no tail yet) is walked to its end.
+    ByteCursor cursor(
+        bytes.substr(0, footer_offset(bytes).value_or(bytes.size())));
+    cursor.seek(4);
     while (cursor.remaining() > 0) {
         try {
             const std::uint8_t tag = cursor.u8();
@@ -661,13 +633,12 @@ std::vector<CauseRecord> decode_lenient(std::string_view bytes,
                 if (stats != nullptr) ++stats->blocks_rejected;
                 break;  // framing lost; no resync marker inside blocks
             }
-            const std::uint64_t payload_len = cursor.varint();
-            if (payload_len > cursor.remaining())
-                throw ParseError("cause ledger: block payload out of range");
-            const std::uint8_t* payload = cursor.p;
-            cursor.p += payload_len;  // next block regardless of outcome
+            // Past the payload either way: the next block is framed by
+            // this one's length, not by its contents.
+            const std::string_view payload =
+                cursor.bytes(cursor.length(cursor.remaining()));
             try {
-                decode_block_payload({payload, payload + payload_len}, records,
+                decode_block_payload(ByteCursor(payload), records,
                                      /*strict=*/false, stats);
             } catch (const ParseError&) {
                 if (stats != nullptr) ++stats->blocks_rejected;
@@ -764,13 +735,7 @@ void BinaryCauseWriter::close() {
     impl_->closed = true;
     impl_->flush_block();
     std::string tail;
-    const std::uint64_t footer_at = impl_->written;
-    tail.push_back(char(kFooterTag));
-    put_varint(tail, impl_->offsets.size());
-    for (std::uint64_t offset : impl_->offsets) put_varint(tail, offset);
-    for (int i = 0; i < 8; ++i)
-        tail.push_back(char(std::uint8_t(footer_at >> (8 * i))));
-    tail.append(kTailMagic, 4);
+    put_footer(tail, impl_->written, impl_->offsets);
     impl_->out.write(tail.data(), std::streamsize(tail.size()));
     impl_->out.flush();
 }

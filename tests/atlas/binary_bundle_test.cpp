@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -223,6 +224,69 @@ TEST(BinaryBundle, InterleavedProbesStillRoundTrip) {
     expect_equal_records(back, records);
 }
 
+TEST(BinaryBundle, BatchReadGroupsTeedBundleByProbe) {
+    // The simulator tee writes records as they happen, probes
+    // interleaved. The batch reader must return each dataset grouped by
+    // probe, with each probe's records in their original order — the
+    // sequence the streaming reader delivers.
+    TempDir dir("teed");
+    DatasetBundle teed;
+    const net::TimePoint t = net::TimePoint::from_date(2015, 1, 1);
+    for (int i = 0; i < 30; ++i) {
+        const ProbeId probe = ProbeId(9 - 3 * (i % 3));  // 9, 6, 3, 9, ...
+        ConnectionLogEntry e;
+        e.probe = probe;
+        e.start = t + net::Duration::hours(i);
+        e.end = e.start + net::Duration::minutes(30);
+        e.address = PeerAddress::ipv4(net::IPv4Address{0x5B37AE00u +
+                                                       std::uint32_t(i)});
+        teed.connection_log.push_back(e);
+        UptimeRecord r;
+        r.probe = probe;
+        r.timestamp = t + net::Duration::hours(i);
+        r.uptime_seconds = std::uint64_t(1000 - i);
+        teed.uptime_records.push_back(r);
+    }
+    {
+        BinaryBundleWriter writer(dir.str(), 4);
+        for (const auto& e : teed.connection_log) writer.add_connection(e);
+        for (const auto& r : teed.uptime_records) writer.add_uptime(r);
+        writer.close();
+    }
+
+    auto grouped = teed;
+    auto by_probe = [](const auto& a, const auto& b) {
+        return a.probe < b.probe;
+    };
+    std::stable_sort(grouped.connection_log.begin(),
+                     grouped.connection_log.end(), by_probe);
+    std::stable_sort(grouped.uptime_records.begin(),
+                     grouped.uptime_records.end(), by_probe);
+    const auto back = read_binary_bundle(dir.str());
+    expect_equal_records(back.connection_log, grouped.connection_log);
+    expect_equal_records(back.uptime_records, grouped.uptime_records);
+
+    struct Collector : BundleStreamHandler {
+        DatasetBundle bundle;
+        void on_metadata(const ProbeMetadata& meta) override {
+            bundle.probes.push_back(meta);
+        }
+        void on_connection(const ConnectionLogEntry& entry) override {
+            bundle.connection_log.push_back(entry);
+        }
+        void on_kroot(const KRootPingRecord& record) override {
+            bundle.kroot_pings.push_back(record);
+        }
+        void on_uptime(const UptimeRecord& record) override {
+            bundle.uptime_records.push_back(record);
+        }
+        void on_probe_complete(ProbeId) override {}
+    } streamed;
+    stream_binary_bundle(dir.str(), streamed);
+    expect_equal_records(back.connection_log, streamed.bundle.connection_log);
+    expect_equal_records(back.uptime_records, streamed.bundle.uptime_records);
+}
+
 TEST(BinaryBundle, StreamReadDeliversProbesInAscendingSealedOrder) {
     TempDir dir("stream");
     const auto bundle = make_bundle();
@@ -344,6 +408,35 @@ TEST(BinaryBundle, ErrorsNameDatasetAndPath) {
         const std::string what = error.what();
         EXPECT_NE(what.find("connection_log"), std::string::npos) << what;
         EXPECT_NE(what.find(dir.str()), std::string::npos) << what;
+    }
+    // A valid footer over a corrupt block: the streaming reader fails in
+    // the block decode, after the footer parsed, and must name the
+    // dataset and path there too.
+    TempDir streamed("errors_stream");
+    write_binary_bundle(streamed.str(), make_bundle(), 4);
+    const fs::path uptime = fs::path(streamed.str()) / "uptime.dab";
+    {
+        std::fstream file(uptime,
+                          std::ios::in | std::ios::out | std::ios::binary);
+        file.seekp(6);  // first block's probe varint, right after the header
+        file.put(char(0x7F));
+    }
+    struct Ignore : BundleStreamHandler {
+        void on_metadata(const ProbeMetadata&) override {}
+        void on_connection(const ConnectionLogEntry&) override {}
+        void on_kroot(const KRootPingRecord&) override {}
+        void on_uptime(const UptimeRecord&) override {}
+        void on_probe_complete(ProbeId) override {}
+    } ignore;
+    try {
+        stream_binary_bundle(streamed.str(), ignore);
+        FAIL() << "expected Error";
+    } catch (const Error& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("block header disagrees"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("dataset uptime"), std::string::npos) << what;
+        EXPECT_NE(what.find(uptime.string()), std::string::npos) << what;
     }
     // Missing file: same contract on the open path.
     try {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <sstream>
 
@@ -123,7 +125,10 @@ TEST(Datasets, BundleDirectoryRoundTrip) {
     bundle.uptime_records = {{1, TimePoint{5}, 1000}};
     bundle.probes = {{1, ProbeVersion::V2, "FR", {"home"}}};
     const std::string dir =
-        (std::filesystem::temp_directory_path() / "dynaddr_bundle_test").string();
+        (std::filesystem::temp_directory_path() /
+         ("dynaddr_bundle_test_" + std::to_string(::getpid()) +
+          "_BundleDirectoryRoundTrip"))
+            .string();
     write_bundle(dir, bundle);
     const auto back = read_bundle(dir);
     EXPECT_EQ(back.connection_log.size(), 1u);

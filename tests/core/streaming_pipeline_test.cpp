@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -340,6 +341,57 @@ TEST(StreamingBinary, FeedBinaryBundleMatchesBatch) {
     EXPECT_EQ(streamed, reference);
     EXPECT_EQ(pipeline.buffered_records(), 0u);
     EXPECT_GT(pipeline.probes_seen(), 0u);
+}
+
+std::size_t outage_count(
+    const std::map<atlas::ProbeId, std::vector<DetectedOutage>>& outages) {
+    std::size_t count = 0;
+    for (const auto& [probe, list] : outages) count += list.size();
+    return count;
+}
+
+TEST(StreamingBinary, TeedOutageBundleMatchesReferenceBothWays) {
+    // The simulator tee writes DAB2 blocks in emission order, probes
+    // interleaved. Both readers must still hand the analysis each probe's
+    // records together: a probe whose uptime records arrive in several
+    // runs keeps only the first, and the power outages vanish.
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("dynaddr_streaming_teed_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    auto config = isp::presets::outage_scenario();
+    std::optional<isp::ScenarioResult> scenario;
+    {
+        atlas::BinaryBundleWriter writer(dir.string());
+        config.bundle_sink = &writer;
+        scenario.emplace(isp::run_scenario(config));
+        writer.close();
+    }
+    const std::string reference = reference_fingerprint(*scenario, config, 1);
+
+    PipelineConfig pipeline_config;
+    pipeline_config.threads = 1;
+    const auto batch = AnalysisPipeline(pipeline_config)
+                           .run(atlas::read_binary_bundle(dir.string()),
+                                scenario->prefix_table, scenario->registry,
+                                config.window);
+    // EXPECT_TRUE, not EXPECT_EQ: on a mismatch gtest would diff the two
+    // fingerprints line by line, and at this size that exhausts memory.
+    EXPECT_GT(outage_count(batch.power_outages), 0u);
+    EXPECT_TRUE(fingerprint(batch) == reference)
+        << "batch read of the teed bundle differs from the reference";
+
+    StreamingPipeline::Options options;
+    options.config.threads = 1;
+    StreamingPipeline pipeline(scenario->prefix_table, scenario->registry,
+                               options);
+    pipeline.open(config.window);
+    feed_binary_bundle(pipeline, dir.string());
+    const auto streamed = pipeline.finish();
+    fs::remove_all(dir);
+    EXPECT_GT(outage_count(streamed.power_outages), 0u);
+    EXPECT_TRUE(fingerprint(streamed) == reference)
+        << "streamed read of the teed bundle differs from the reference";
 }
 
 }  // namespace

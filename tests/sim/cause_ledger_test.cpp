@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+
 #include "netcore/error.hpp"
 
 namespace dynaddr::sim {
@@ -237,6 +243,31 @@ TEST(CauseLedgerCodec, BinaryRoundTrip) {
     const std::string blob = encode_cause_ledger(records);
     EXPECT_TRUE(is_cause_ledger_binary(blob));
     EXPECT_EQ(decode_cause_ledger(blob, /*strict=*/true), records);
+}
+
+TEST(CauseLedgerCodec, BinaryWriterFileEqualsEncode) {
+    // The streaming writer and the in-memory encoder share one DCL1
+    // layout; 1100 records span three 512-record blocks.
+    std::vector<CauseRecord> records;
+    for (int round = 0; records.size() < 1100; ++round)
+        for (CauseRecord r : sample_records()) {
+            r.at = r.at + Duration{round * 600};
+            records.push_back(r);
+        }
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("dynaddr_dcl1_writer_" + std::to_string(::getpid()) + ".dcl"))
+            .string();
+    {
+        BinaryCauseWriter writer(path);
+        for (const auto& r : records) writer.append(r);
+        writer.close();
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::string written((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    std::filesystem::remove(path);
+    EXPECT_TRUE(written == encode_cause_ledger(records));
 }
 
 TEST(CauseLedgerCodec, StrictCsvThrowsOnBadRow) {

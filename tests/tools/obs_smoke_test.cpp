@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -27,8 +29,13 @@ std::string read_file(const fs::path& path) {
 
 class ObsSmoke : public ::testing::Test {
 protected:
+    // One directory per test and process: gtest_discover_tests runs the
+    // tests as concurrent processes under `ctest -j`.
     void SetUp() override {
-        dir_ = fs::temp_directory_path() / "dynaddr_obs_smoke";
+        dir_ = fs::temp_directory_path() /
+               ("dynaddr_obs_smoke_" + std::to_string(::getpid()) + "_" +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name());
+        fs::remove_all(dir_);
         fs::create_directories(dir_);
     }
     void TearDown() override {

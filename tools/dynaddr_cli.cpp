@@ -4,17 +4,18 @@
 //                    [--format csv|binary|both]
 //       Runs a scenario and writes the dataset bundle plus the supporting
 //       context (pfx2as_YYYY-MM.txt per month, registry.csv) to DIR. With
-//       --format binary the columnar DAB2 bundle is flushed incrementally
-//       while the simulation runs (atlas::BinaryBundleWriter tee).
+//       --format binary the simulator tees records into an
+//       atlas::BinaryBundleWriter, which buffers the columnar DAB2 blocks
+//       in memory and writes the files when the run ends.
 //
-//   dynaddr analyze --data DIR [--report LIST] [--streaming]
+//   dynaddr analyze --data DIR [--report LIST]
 //       Loads a bundle (simulated or real; CSV or DAB2, auto-detected).
 //       IP-to-AS context comes from pfx2as_YYYY-MM.txt files and
 //       registry.csv in DIR when present. LIST is comma-separated from:
 //       summary,table2,table5,table6,table7,admin,all (default all).
-//       --streaming feeds a DAB2 bundle probe by probe through
-//       core::StreamingPipeline (O(probes) memory) — results are
-//       byte-identical to the batch path.
+//       A DAB2 bundle is streamed probe by probe through
+//       core::StreamingPipeline (O(probes) memory); a CSV bundle is read
+//       whole. Both give the same reports.
 //
 //   dynaddr convert --in DIR --out DIR [--to csv|binary]
 //       Translates a bundle between the CSV and DAB2 representations
@@ -89,7 +90,7 @@ int usage() {
         "       (--cause-ledger streams ground-truth cause records to FILE;\n"
         "        .csv extension -> CSV, anything else -> DCL1 columnar)\n"
         "  dynaddr analyze  --data DIR [--report summary,table2,table5,"
-        "table6,table7,admin,causes,all] [--threads N] [--streaming]\n"
+        "table6,table7,admin,causes,all] [--threads N]\n"
         "                   [--audit LEDGER]\n"
         "       (--audit joins inferred causes against the ledger's ground\n"
         "        truth and prints the per-cause confusion matrix)\n"
@@ -133,7 +134,7 @@ int usage() {
 
 /// Flags whose value is optional (`--flag` alone means "on, defaults").
 bool valueless_ok(const std::string& name) {
-    return name == "flight-recorder" || name == "streaming";
+    return name == "flight-recorder";
 }
 
 std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) {
@@ -435,8 +436,8 @@ int cmd_simulate(const std::map<std::string, std::string>& flags) {
 
     const fs::path dir(out_it->second);
     fs::create_directories(dir);
-    // The binary writer rides along as a sink: connection/uptime blocks
-    // hit disk while the simulation runs instead of after the drain.
+    // The binary writer rides along as a sink, encoding records as the
+    // simulation emits them; close() writes the files after the run.
     std::unique_ptr<atlas::BinaryBundleWriter> writer;
     if (format != "csv") {
         writer = std::make_unique<atlas::BinaryBundleWriter>(dir.string());
@@ -509,31 +510,23 @@ int cmd_analyze(const std::map<std::string, std::string>& flags) {
         DYNADDR_LOG(Warn, cli, "no pfx2as_YYYY-MM.txt files in ", dir.string(),
                     "; AS-level analyses will be empty");
 
-    if (flags.contains("streaming") &&
-        atlas::binary_bundle_present(dir.string())) {
-        // Probe-by-probe ingestion: O(probes) memory, byte-identical
-        // results to the batch path below.
+    // A DAB2 bundle streams probe by probe in O(probes) memory; a CSV
+    // bundle is read whole. Both give byte-identical results.
+    core::AnalysisResults results;
+    if (atlas::binary_bundle_present(dir.string())) {
         core::StreamingPipeline::Options options;
         options.config = pipeline_config(flags);
         core::StreamingPipeline pipeline(table, registry, options);
         pipeline.open();
         core::feed_binary_bundle(pipeline, dir.string());
-        const auto results = pipeline.finish();
+        results = pipeline.finish();
         DYNADDR_LOG(Info, cli, "streamed binary bundle: ",
                     pipeline.probes_seen(), " probes, peak ",
                     pipeline.peak_buffered_records(), " buffered records");
-        print_reports(results, table, registry, report_list);
-        if (auto it = flags.find("audit"); it != flags.end())
-            print_audit(results, table, registry, it->second);
-        return 0;
+    } else {
+        results = core::AnalysisPipeline(pipeline_config(flags))
+                      .run(atlas::read_bundle(dir.string()), table, registry);
     }
-    if (flags.contains("streaming"))
-        DYNADDR_LOG(Warn, cli, "--streaming needs a binary bundle in ",
-                    dir.string(), "; falling back to the batch reader");
-
-    const auto bundle = atlas::read_bundle_auto(dir.string());
-    core::AnalysisPipeline pipeline(pipeline_config(flags));
-    const auto results = pipeline.run(bundle, table, registry);
     print_reports(results, table, registry, report_list);
     if (auto it = flags.find("audit"); it != flags.end())
         print_audit(results, table, registry, it->second);
