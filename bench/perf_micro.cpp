@@ -31,7 +31,7 @@
 #include "netcore/parallel.hpp"
 #include "isp/presets.hpp"
 #include "sim/cause_ledger.hpp"
-#include "sim/reference_queue.hpp"
+#include "oracles/reference_queue.hpp"
 
 DYNADDR_LOG_MODULE(bench);
 
@@ -266,8 +266,8 @@ BENCHMARK(BM_EventEngine)->Arg(100)->Arg(1000);
 // Raw queue comparison: the same self-rescheduling workload driven
 // directly against a queue type, at 1M+ total events. BM_EventEngineWheel
 // runs the timer-wheel engine; BM_EventEngineBaseline runs the original
-// std::map implementation kept in sim/reference_queue.hpp. The wheel must
-// stay >= 5x the baseline at Arg(1000000).
+// std::map implementation kept in tests/oracles/reference_queue.hpp. The
+// wheel must stay >= 5x the baseline at Arg(1000000).
 template <typename Queue>
 std::int64_t event_workload(std::int64_t total_events,
                             std::int64_t concurrent) {

@@ -746,6 +746,50 @@ void BinaryBundleWriter::close() {
     impl_->probes.write(impl_->directory);
 }
 
+// -- collector ---------------------------------------------------------------
+
+namespace {
+
+/// push_back that reports whether `dataset` reallocated.
+template <typename Record>
+bool push_grew(std::vector<Record>& dataset, const Record& record) {
+    const std::size_t capacity = dataset.capacity();
+    dataset.push_back(record);
+    return dataset.capacity() != capacity;
+}
+
+}  // namespace
+
+void BundleCollector::add_connection(const ConnectionLogEntry& entry) {
+    if (push_grew(bundle_->connection_log, entry)) publish_mem();
+    if (forward_ != nullptr) forward_->add_connection(entry);
+}
+
+void BundleCollector::add_kroot(const KRootPingRecord& record) {
+    if (push_grew(bundle_->kroot_pings, record)) publish_mem();
+    if (forward_ != nullptr) forward_->add_kroot(record);
+}
+
+void BundleCollector::add_uptime(const UptimeRecord& record) {
+    if (push_grew(bundle_->uptime_records, record)) publish_mem();
+    if (forward_ != nullptr) forward_->add_uptime(record);
+}
+
+void BundleCollector::add_probe(const ProbeMetadata& meta) {
+    if (push_grew(bundle_->probes, meta)) publish_mem();
+    if (forward_ != nullptr) forward_->add_probe(meta);
+}
+
+void BundleCollector::publish_mem() {
+    const DatasetBundle& b = *bundle_;
+    mem_.report(b.connection_log.capacity() * sizeof(ConnectionLogEntry) +
+                    b.kroot_pings.capacity() * sizeof(KRootPingRecord) +
+                    b.uptime_records.capacity() * sizeof(UptimeRecord) +
+                    b.probes.capacity() * sizeof(ProbeMetadata),
+                b.connection_log.size() + b.kroot_pings.size() +
+                    b.uptime_records.size() + b.probes.size());
+}
+
 // -- whole-bundle I/O --------------------------------------------------------
 
 void write_binary_bundle(const std::string& directory,

@@ -38,12 +38,14 @@
 #include <vector>
 
 #include "atlas/datasets.hpp"
+#include "netcore/obs/memaccount.hpp"
 
 namespace dynaddr::atlas {
 
-/// Push-based consumer of dataset records. The simulator's controller
-/// emits into one of these when installed, so the binary writer receives
-/// records as they happen.
+/// Push-based consumer of dataset records: the simulator's one emission
+/// path. run_scenario emits every dataset record into a BundleCollector,
+/// which keeps the in-memory bundle and tees into the caller's sink (a
+/// BinaryBundleWriter, say) as records happen.
 class BundleSink {
 public:
     virtual ~BundleSink() = default;
@@ -51,6 +53,31 @@ public:
     virtual void add_kroot(const KRootPingRecord& record) = 0;
     virtual void add_uptime(const UptimeRecord& record) = 0;
     virtual void add_probe(const ProbeMetadata& meta) = 0;
+};
+
+/// Appends every record to `bundle` in arrival order and forwards it to
+/// `forward` when one is set, so the in-memory bundle and the forwarded
+/// sink see the same record sequence. Both must outlive the collector.
+class BundleCollector final : public BundleSink {
+public:
+    explicit BundleCollector(DatasetBundle& bundle,
+                             BundleSink* forward = nullptr)
+        : bundle_(&bundle), forward_(forward) {}
+
+    void add_connection(const ConnectionLogEntry& entry) override;
+    void add_kroot(const KRootPingRecord& record) override;
+    void add_uptime(const UptimeRecord& record) override;
+    void add_probe(const ProbeMetadata& meta) override;
+
+private:
+    void publish_mem();
+
+    DatasetBundle* bundle_;
+    BundleSink* forward_;
+    /// Capacity accounting (mem.atlas.dataset_buffers): the collected
+    /// datasets at per-record struct size, republished whenever one of
+    /// them reallocates.
+    obs::MemRegistration mem_{"atlas.dataset_buffers"};
 };
 
 /// Incremental writer: appends records into per-probe columnar blocks,

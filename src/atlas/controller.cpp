@@ -1,7 +1,5 @@
 #include "atlas/controller.hpp"
 
-#include <utility>
-
 #include "atlas/probe.hpp"
 #include "netcore/error.hpp"
 
@@ -24,25 +22,11 @@ void Controller::set_force_window(net::Duration min, net::Duration max) {
 }
 
 void Controller::record_connection(const ConnectionLogEntry& entry) {
-    connection_log_.push_back(entry);
     if (sink_ != nullptr) sink_->add_connection(entry);
-    note_mem_op();
 }
 
 void Controller::record_uptime(const UptimeRecord& record) {
-    uptime_records_.push_back(record);
     if (sink_ != nullptr) sink_->add_uptime(record);
-    note_mem_op();
-}
-
-void Controller::drain_into(DatasetBundle& bundle) {
-    bundle.connection_log.insert(bundle.connection_log.end(),
-                                 connection_log_.begin(), connection_log_.end());
-    bundle.uptime_records.insert(bundle.uptime_records.end(),
-                                 uptime_records_.begin(), uptime_records_.end());
-    connection_log_.clear();
-    uptime_records_.clear();
-    publish_mem();
 }
 
 void Controller::release_firmware(net::TimePoint) {

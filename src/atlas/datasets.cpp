@@ -83,6 +83,19 @@ void for_each_row(csv::ScanReader& reader, bool lenient, Fn&& fn) {
     }
 }
 
+/// Groups `records` by probe, ascending, keeping the file's record order
+/// within a probe — the contract both bundle readers share. A per-probe
+/// sorted file (what write_bundle of a sorted bundle produces) is already
+/// grouped and skips the sort.
+template <typename Record>
+void group_by_probe(std::vector<Record>& records) {
+    const auto by_probe = [](const Record& a, const Record& b) {
+        return a.probe < b.probe;
+    };
+    if (!std::is_sorted(records.begin(), records.end(), by_probe))
+        std::stable_sort(records.begin(), records.end(), by_probe);
+}
+
 }  // namespace
 
 std::string PeerAddress::to_string() const {
@@ -276,21 +289,25 @@ DatasetBundle read_bundle(const std::string& directory) {
         obs::ObsSpan part("datasets.read_connection_log", "io");
         auto in = open_in(dir / "connection_log.csv", "connection_log");
         bundle.connection_log = read_connection_log_csv(in);
+        group_by_probe(bundle.connection_log);
     }
     {
         obs::ObsSpan part("datasets.read_kroot", "io");
         auto in = open_in(dir / "kroot.csv", "kroot");
         bundle.kroot_pings = read_kroot_csv(in);
+        group_by_probe(bundle.kroot_pings);
     }
     {
         obs::ObsSpan part("datasets.read_uptime", "io");
         auto in = open_in(dir / "uptime.csv", "uptime");
         bundle.uptime_records = read_uptime_csv(in);
+        group_by_probe(bundle.uptime_records);
     }
     {
         obs::ObsSpan part("datasets.read_probes", "io");
         auto in = open_in(dir / "probes.csv", "probes");
         bundle.probes = read_probes_csv(in);
+        group_by_probe(bundle.probes);
     }
     obs::counter("datasets.rows_read")
         .inc(bundle.connection_log.size() + bundle.kroot_pings.size() +

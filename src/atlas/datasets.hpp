@@ -123,7 +123,11 @@ void write_probes_csv(std::ostream& out, const std::vector<ProbeMetadata>& probe
 std::vector<ProbeMetadata> read_probes_csv(std::istream& in);
 
 /// Writes/reads the whole bundle to a directory (connection_log.csv,
-/// kroot.csv, uptime.csv, probes.csv).
+/// kroot.csv, uptime.csv, probes.csv). read_bundle returns each dataset
+/// grouped by probe, ascending, with the file's record order kept within
+/// a probe — the same contract as read_binary_bundle — so files re-sorted
+/// by time (as per-measurement exports arrive) analyze like probe-sorted
+/// ones.
 void write_bundle(const std::string& directory, const DatasetBundle& bundle);
 DatasetBundle read_bundle(const std::string& directory);
 

@@ -96,19 +96,14 @@ public:
     /// firmware day indexing); when nullopt it is derived from the data.
     /// Implemented as a thin adapter over core::StreamingPipeline: the
     /// bundle is replayed probe by probe through the push-based
-    /// accumulators, producing byte-identical results to run_reference().
+    /// accumulators. The historical one-stage-at-a-time implementation
+    /// survives as the differential oracle run_reference() in
+    /// tests/oracles/reference_pipeline.hpp; tests assert the two agree
+    /// byte for byte.
     AnalysisResults run(const atlas::DatasetBundle& bundle,
                         const bgp::PrefixTable& table,
                         const bgp::AsRegistry& registry,
                         std::optional<net::TimeInterval> window = std::nullopt) const;
-
-    /// The historical batch implementation, one whole-population stage at
-    /// a time. Kept verbatim as the differential oracle for the streaming
-    /// pipeline: tests assert run() == run_reference() byte for byte.
-    AnalysisResults run_reference(
-        const atlas::DatasetBundle& bundle, const bgp::PrefixTable& table,
-        const bgp::AsRegistry& registry,
-        std::optional<net::TimeInterval> window = std::nullopt) const;
 
     [[nodiscard]] const PipelineConfig& config() const { return config_; }
 

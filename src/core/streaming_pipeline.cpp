@@ -6,10 +6,10 @@
 #include <utility>
 
 #include "atlas/binary_bundle.hpp"
-#include "core/pipeline_internal.hpp"
 #include "netcore/error.hpp"
 #include "netcore/obs/log.hpp"
 #include "netcore/obs/memaccount.hpp"
+#include "netcore/obs/metrics.hpp"
 #include "netcore/obs/progress.hpp"
 #include "netcore/obs/trace.hpp"
 #include "netcore/parallel.hpp"
@@ -19,6 +19,62 @@ DYNADDR_LOG_MODULE(streaming);
 namespace dynaddr::core {
 
 namespace {
+
+/// Registered once at first use so a run pays only relaxed atomic ops.
+/// Stage latency histograms feed both the metrics export and (via
+/// ObsSpan) the trace.
+struct PipelineMetrics {
+    obs::Counter& runs = obs::counter("pipeline.runs");
+    obs::Counter& probes_in = obs::counter("pipeline.probes_in");
+    obs::Counter& probes_analyzable = obs::counter("pipeline.probes_analyzable");
+    obs::Counter& changes_extracted = obs::counter("pipeline.changes_extracted");
+    obs::Counter& outage_probes = obs::counter("pipeline.outage_probes");
+    obs::Counter& reboots_detected = obs::counter("pipeline.reboots_detected");
+    obs::Histogram& periodicity_latency =
+        obs::latency_histogram("pipeline.stage.periodicity");
+    obs::Histogram& prefix_latency =
+        obs::latency_histogram("pipeline.stage.prefix_changes");
+    obs::Histogram& outage_latency =
+        obs::latency_histogram("pipeline.stage.outages");
+    obs::Histogram& finalize_latency =
+        obs::latency_histogram("pipeline.stage.finalize");
+    obs::Histogram& run_latency = obs::latency_histogram("pipeline.run");
+};
+
+PipelineMetrics& pipeline_metrics() {
+    static PipelineMetrics metrics;
+    return metrics;
+}
+
+/// table2_funnel counter name per filter category.
+const char* funnel_name(ProbeCategory category) {
+    switch (category) {
+        case ProbeCategory::Analyzable: return "table2_funnel.analyzable";
+        case ProbeCategory::NeverChanged: return "table2_funnel.never_changed";
+        case ProbeCategory::DualStack: return "table2_funnel.dual_stack";
+        case ProbeCategory::Ipv6Only: return "table2_funnel.ipv6_only";
+        case ProbeCategory::TaggedMultihomed:
+            return "table2_funnel.tagged_multihomed";
+        case ProbeCategory::AlternatingMultihomed:
+            return "table2_funnel.alternating_multihomed";
+        case ProbeCategory::TestingAddressOnly:
+            return "table2_funnel.testing_address_only";
+    }
+    return "table2_funnel.unknown";
+}
+
+/// Bumps the table2_funnel.* counters — the machine-readable Table 2.
+/// Registered as a metrics block so the JSON export groups them.
+void record_funnel(const FilterReport& report) {
+    static const bool block_registered = [] {
+        obs::metrics_block("table2_funnel");
+        return true;
+    }();
+    (void)block_registered;
+    obs::counter("table2_funnel.total").inc(std::uint64_t(report.total()));
+    for (const auto& [category, count] : report.counts)
+        obs::counter(funnel_name(category)).inc(std::uint64_t(count));
+}
 
 /// Raw input buffered for one not-yet-sealed probe.
 struct RawProbe {
@@ -272,7 +328,7 @@ struct StreamingPipeline::Impl {
         std::vector<ProbeDerived> slots(pending.size());
         {
             obs::ObsSpan span("pipeline.finalize", "pipeline",
-                              &detail::pipeline_metrics().finalize_latency);
+                              &pipeline_metrics().finalize_latency);
             pool->parallel_for_shards(pending.size(), [&](std::size_t i) {
                 obs::ObsSpan shard("pipeline.finalize.shard", "shard");
                 slots[i] = finalize_probe(std::move(pending[i]));
@@ -314,7 +370,7 @@ StreamingPipeline::~StreamingPipeline() = default;
 
 void StreamingPipeline::open(std::optional<net::TimeInterval> window) {
     if (impl_->is_open) throw Error("StreamingPipeline: open() while open");
-    detail::PipelineMetrics& metrics = detail::pipeline_metrics();
+    PipelineMetrics& metrics = pipeline_metrics();
     metrics.runs.inc();
     // Reset per-run state (finish() already cleared most of it; open()
     // after an abandoned run starts clean too). Impl holds an ObsSpan and
@@ -434,7 +490,7 @@ void StreamingPipeline::feed_bundle(const atlas::DatasetBundle& bundle) {
 AnalysisResults StreamingPipeline::finish() {
     Impl& impl = *impl_;
     impl.require_open();
-    detail::PipelineMetrics& metrics = detail::pipeline_metrics();
+    PipelineMetrics& metrics = pipeline_metrics();
     impl.seal_all();
     impl.is_open = false;
 
@@ -454,7 +510,7 @@ AnalysisResults StreamingPipeline::finish() {
     metrics.probes_in.inc(std::uint64_t(results.filter.total()));
     metrics.probes_analyzable.inc(
         std::uint64_t(results.filter.count(ProbeCategory::Analyzable)));
-    detail::record_funnel(results.filter);
+    record_funnel(results.filter);
     DYNADDR_LOG(Info, streaming, "filtered ", results.filter.total(),
                 " probes, ", results.filter.count(ProbeCategory::Analyzable),
                 " analyzable");

@@ -1,10 +1,11 @@
 #pragma once
 
-// Push-based analysis pipeline: open(window) → feed(...) → finish().
+// Push-based analysis pipeline: open(window) → feed(...) → finish(). The
+// one production analysis: AnalysisPipeline::run is a thin adapter that
+// replays an in-memory bundle through it.
 //
-// The batch pipeline holds a whole DatasetBundle plus every intermediate
-// vector in RAM — a dead end for million-CPE simulated years. This
-// consumer runs the paper's per-probe analyses (filtering funnel, change
+// Holding a whole DatasetBundle plus every intermediate vector in RAM is a
+// dead end for million-CPE simulated years. This consumer runs the paper's per-probe analyses (filtering funnel, change
 // extraction, IPv6 privacy, AS mapping, network/power outage detection)
 // the moment a probe's records are complete, keeping only O(probes)
 // state plus the derived analysis output; the cross-population stages
@@ -18,10 +19,11 @@
 // channel will deliver further records for probes <= p, which is what
 // lets the pipeline finalize and free them. Violations throw Error.
 //
-// Determinism: finish() produces results byte-identical to
-// AnalysisPipeline::run_reference() on the same (grouped) input, for any
-// thread count — probes finalize in ascending id order and merge
-// sequentially, mirroring the reference's shard/merge contract.
+// Determinism: finish() produces results byte-identical to the batch
+// oracle run_reference() (tests/oracles/reference_pipeline.hpp; "the
+// reference" below) on the same (grouped) input, for any thread count —
+// probes finalize in ascending id order and merge sequentially, mirroring
+// the reference's shard/merge contract.
 
 #include <cstddef>
 #include <map>
@@ -76,8 +78,9 @@ public:
     void seal_through(atlas::ProbeId probe);
 
     /// Replays an in-memory bundle through the push interface using the
-    /// reference pipeline's own grouping helpers, so grouping quirks
-    /// (duplicate-run handling, per-probe entry sort) match it exactly.
+    /// batch grouping helpers the reference uses (group_by_probe,
+    /// split_*_by_probe), so grouping quirks (duplicate-run handling,
+    /// per-probe entry sort) match it exactly.
     void feed_bundle(const atlas::DatasetBundle& bundle);
 
     /// Runs the cross-population stages and returns the results. The

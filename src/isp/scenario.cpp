@@ -106,9 +106,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     if (faults != nullptr) faults->set_window(config.window);
 
     rng::Stream root(config.seed);
-    World world(config.window.begin, root.child("controller"));
-    world.controller.set_sink(config.bundle_sink);
     ScenarioResult result;
+    // The one emission path: every dataset record lands in result.bundle
+    // and, when the caller installed one, in config.bundle_sink.
+    atlas::BundleCollector emit(result.bundle, config.bundle_sink);
+    World world(config.window.begin, root.child("controller"));
+    world.controller.set_sink(&emit);
     // Phase boundaries recorded manually: the build/run/emit phases are
     // sequential regions of this one function, not nested scopes.
     const std::uint64_t build_start_us = obs::trace_now_us();
@@ -246,7 +249,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
                         : isp.countries;
                 meta.country_code = countries[std::size_t(probe_rng.uniform_int(
                     0, std::int64_t(countries.size()) - 1))];
-                result.bundle.probes.push_back(std::move(meta));
+                emit.add_probe(meta);
             }
         }
     }
@@ -310,7 +313,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
             meta.probe = probe_id;
             meta.version = probe_config.version;
             meta.country_code = isp_a.countries.empty() ? "DE" : isp_a.countries.front();
-            result.bundle.probes.push_back(std::move(meta));
+            emit.add_probe(meta);
         }
     }
 
@@ -428,19 +431,13 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     for (auto& probe : world.probes) probe.flush_open_connection(config.window.end);
 
     for (auto& timeline : world.timelines) timeline.finalize(config.window.end);
-    world.controller.drain_into(result.bundle);
 
     if (config.kroot) {
-        for (const auto& timeline : world.timelines) {
-            auto records = atlas::emit_kroot_records(
-                timeline, config.window, *config.kroot,
-                root.child("kroot").child(timeline.probe()));
-            if (config.bundle_sink != nullptr)
-                for (const auto& record : records)
-                    config.bundle_sink->add_kroot(record);
-            result.bundle.kroot_pings.insert(result.bundle.kroot_pings.end(),
-                                             records.begin(), records.end());
-        }
+        for (const auto& timeline : world.timelines)
+            for (const auto& record : atlas::emit_kroot_records(
+                     timeline, config.window, *config.kroot,
+                     root.child("kroot").child(timeline.probe())))
+                emit.add_kroot(record);
     }
 
     // -- special probes ---------------------------------------------------------
@@ -466,18 +463,14 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
                 spec.mean_session = net::Duration::hours(8);
             auto log = atlas::generate_special_probe_log(spec, config.window,
                                                          sp_rng.child("log"));
-            if (config.bundle_sink != nullptr)
-                for (const auto& entry : log)
-                    config.bundle_sink->add_connection(entry);
-            result.bundle.connection_log.insert(result.bundle.connection_log.end(),
-                                                log.begin(), log.end());
+            for (const auto& entry : log) emit.add_connection(entry);
             atlas::ProbeMetadata meta;
             meta.probe = spec.id;
             meta.version = atlas::ProbeVersion::V3;
             meta.country_code = kSpecialCountries[sp_rng.uniform_int(
                 0, std::int64_t(std::size(kSpecialCountries)) - 1)];
             meta.tags = tags;
-            result.bundle.probes.push_back(std::move(meta));
+            emit.add_probe(meta);
 
             ProbeTruth truth;
             truth.probe = spec.id;
@@ -514,12 +507,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
 
     // -- ground-truth timelines ----------------------------------------------
     result.timelines.assign(world.timelines.begin(), world.timelines.end());
-
-    // Metadata goes to the sink in one pass at the end (pushes above keep
-    // ascending probe-id order), so the writer emits one block run per probe.
-    if (config.bundle_sink != nullptr)
-        for (const auto& meta : result.bundle.probes)
-            config.bundle_sink->add_probe(meta);
 
     result.bundle.sort();
     if (obs::trace_enabled())

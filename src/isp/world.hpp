@@ -123,10 +123,13 @@ struct ScenarioConfig {
     /// this field is ignored.
     std::optional<sim::FaultPlan> faults;
     /// Optional streaming dataset sink (e.g. atlas::BinaryBundleWriter).
-    /// Connection/uptime records tee into it live as the simulation emits
-    /// them; k-root pings, special-probe logs and probe metadata follow at
+    /// run_scenario emits every record once, through an
+    /// atlas::BundleCollector that fills ScenarioResult::bundle and tees
+    /// into this sink in the same order: probe metadata as the world is
+    /// built, connection/uptime records live as the simulation emits them,
+    /// then k-root pings and the special probes' logs and metadata at
     /// scrape time. The caller owns the sink (and closes it) after
-    /// run_scenario returns; the in-memory bundle is still produced.
+    /// run_scenario returns.
     atlas::BundleSink* bundle_sink = nullptr;
 };
 

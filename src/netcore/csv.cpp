@@ -156,30 +156,4 @@ const std::vector<std::string_view>* ScanReader::next_row() {
     return nullptr;
 }
 
-Reader::Reader(std::istream& in) : in_(&in) {
-    std::string line;
-    if (!std::getline(*in_, line)) throw ParseError("empty CSV stream");
-    header_ = split_line(line);
-}
-
-std::size_t Reader::column(std::string_view name) const {
-    for (std::size_t i = 0; i < header_.size(); ++i)
-        if (header_[i] == name) return i;
-    throw Error("CSV column '" + std::string(name) + "' not found");
-}
-
-std::optional<std::vector<std::string>> Reader::next_row() {
-    std::string line;
-    while (std::getline(*in_, line)) {
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line.empty()) continue;
-        auto fields = split_line(line);
-        if (fields.size() != header_.size())
-            throw ParseError("CSV row width " + std::to_string(fields.size()) +
-                             " != header width " + std::to_string(header_.size()));
-        return fields;
-    }
-    return std::nullopt;
-}
-
 }  // namespace dynaddr::csv

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,13 +36,13 @@ private:
     std::size_t rows_ = 0;
 };
 
-/// Zero-copy CSV scanner for hot read paths (the dataset loaders parse
-/// millions of rows). Rows and delimiters are located with the SSE2/SWAR
-/// scanner in netcore/simd_scan.hpp and yielded as string_views into one
-/// contiguous buffer — no per-row or per-field allocation for plain
-/// fields. A row containing a quote falls back to full split_line
-/// semantics transparently. Header validation, width enforcement,
-/// blank-line and CRLF handling match Reader exactly.
+/// The CSV reader: a zero-copy scanner built for the hot read paths (the
+/// dataset loaders parse millions of rows). Rows and delimiters are
+/// located with the SSE2/SWAR scanner in netcore/simd_scan.hpp and yielded
+/// as string_views into one contiguous buffer — no per-row or per-field
+/// allocation for plain fields. A row containing a quote falls back to
+/// full split_line semantics transparently. Blank lines are skipped and a
+/// trailing CR is stripped from every line.
 class ScanReader {
 public:
     /// Reads the entire stream and parses the header line. Throws
@@ -83,28 +82,6 @@ private:
     std::vector<std::string_view> fields_;
     std::vector<bool> wanted_;           ///< empty = keep every column
     std::vector<std::string> fallback_;  ///< owns unquoted text of quoted rows
-};
-
-/// Streaming CSV reader that validates the header and yields rows.
-class Reader {
-public:
-    /// Reads and stores the header line. Throws ParseError when the stream
-    /// is empty. The stream must outlive the Reader.
-    explicit Reader(std::istream& in);
-
-    /// The header fields.
-    [[nodiscard]] const std::vector<std::string>& header() const { return header_; }
-
-    /// Index of the named column; throws Error when absent.
-    [[nodiscard]] std::size_t column(std::string_view name) const;
-
-    /// Reads the next row; nullopt at end of stream. Rows whose width
-    /// differs from the header raise ParseError. Blank lines are skipped.
-    std::optional<std::vector<std::string>> next_row();
-
-private:
-    std::istream* in_;
-    std::vector<std::string> header_;
 };
 
 }  // namespace dynaddr::csv

@@ -8,8 +8,10 @@ namespace dynaddr::obs {
 
 namespace {
 
-/// Recursive-descent cursor over the input. Each parse_* consumes one
-/// grammar production and returns false on the first violation.
+/// Recursive-descent cursor over the input, shared by json_valid and
+/// json_parse. Each parse_* consumes one grammar production and returns
+/// false on the first violation. Output pointers are optional: null
+/// validates only, so json_valid allocates nothing.
 struct JsonCursor {
     std::string_view text;
     std::size_t pos = 0;
@@ -38,136 +40,6 @@ struct JsonCursor {
         return true;
     }
 
-    bool parse_string() {
-        if (!consume('"')) return false;
-        while (!at_end()) {
-            const char c = text[pos++];
-            if (c == '"') return true;
-            if (static_cast<unsigned char>(c) < 0x20) return false;
-            if (c == '\\') {
-                if (at_end()) return false;
-                const char esc = text[pos++];
-                if (esc == 'u') {
-                    for (int i = 0; i < 4; ++i) {
-                        if (at_end() ||
-                            !std::isxdigit(
-                                static_cast<unsigned char>(text[pos])))
-                            return false;
-                        ++pos;
-                    }
-                } else if (esc != '"' && esc != '\\' && esc != '/' &&
-                           esc != 'b' && esc != 'f' && esc != 'n' &&
-                           esc != 'r' && esc != 't') {
-                    return false;
-                }
-            }
-        }
-        return false;  // unterminated
-    }
-
-    bool parse_number() {
-        consume('-');
-        if (at_end() || !std::isdigit(static_cast<unsigned char>(peek())))
-            return false;
-        if (peek() == '0') {
-            ++pos;
-        } else {
-            while (!at_end() &&
-                   std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos;
-        }
-        if (!at_end() && peek() == '.') {
-            ++pos;
-            if (at_end() || !std::isdigit(static_cast<unsigned char>(peek())))
-                return false;
-            while (!at_end() &&
-                   std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos;
-        }
-        if (!at_end() && (peek() == 'e' || peek() == 'E')) {
-            ++pos;
-            if (!at_end() && (peek() == '+' || peek() == '-')) ++pos;
-            if (at_end() || !std::isdigit(static_cast<unsigned char>(peek())))
-                return false;
-            while (!at_end() &&
-                   std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos;
-        }
-        return true;
-    }
-
-    bool parse_value() {
-        if (++depth > kMaxDepth) return false;
-        skip_ws();
-        if (at_end()) return false;
-        bool ok;
-        switch (peek()) {
-            case '{': ok = parse_object(); break;
-            case '[': ok = parse_array(); break;
-            case '"': ok = parse_string(); break;
-            case 't': ok = consume_literal("true"); break;
-            case 'f': ok = consume_literal("false"); break;
-            case 'n': ok = consume_literal("null"); break;
-            default: ok = parse_number(); break;
-        }
-        --depth;
-        return ok;
-    }
-
-    bool parse_object() {
-        if (!consume('{')) return false;
-        skip_ws();
-        if (consume('}')) return true;
-        while (true) {
-            skip_ws();
-            if (!parse_string()) return false;
-            skip_ws();
-            if (!consume(':')) return false;
-            if (!parse_value()) return false;
-            skip_ws();
-            if (consume('}')) return true;
-            if (!consume(',')) return false;
-        }
-    }
-
-    bool parse_array() {
-        if (!consume('[')) return false;
-        skip_ws();
-        if (consume(']')) return true;
-        while (true) {
-            if (!parse_value()) return false;
-            skip_ws();
-            if (consume(']')) return true;
-            if (!consume(',')) return false;
-        }
-    }
-};
-
-/// DOM-building sibling of JsonCursor. Kept separate so the validator
-/// stays allocation-free; the DOM path is only used on small /top
-/// payloads by `dynaddr top`.
-struct JsonBuilder {
-    std::string_view text;
-    std::size_t pos = 0;
-    int depth = 0;
-
-    static constexpr int kMaxDepth = 256;
-
-    bool at_end() const { return pos >= text.size(); }
-    char peek() const { return text[pos]; }
-
-    void skip_ws() {
-        while (!at_end() && (text[pos] == ' ' || text[pos] == '\t' ||
-                             text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    bool consume(char c) {
-        if (at_end() || text[pos] != c) return false;
-        ++pos;
-        return true;
-    }
-
     static void append_utf8(std::string& out, unsigned code) {
         if (code < 0x80) {
             out.push_back(char(code));
@@ -181,27 +53,27 @@ struct JsonBuilder {
         }
     }
 
-    bool parse_string(std::string& out) {
+    bool parse_string(std::string* out) {
         if (!consume('"')) return false;
         while (!at_end()) {
             const char c = text[pos++];
             if (c == '"') return true;
             if (static_cast<unsigned char>(c) < 0x20) return false;
             if (c != '\\') {
-                out.push_back(c);
+                if (out) out->push_back(c);
                 continue;
             }
             if (at_end()) return false;
-            const char esc = text[pos++];
-            switch (esc) {
-                case '"': out.push_back('"'); break;
-                case '\\': out.push_back('\\'); break;
-                case '/': out.push_back('/'); break;
-                case 'b': out.push_back('\b'); break;
-                case 'f': out.push_back('\f'); break;
-                case 'n': out.push_back('\n'); break;
-                case 'r': out.push_back('\r'); break;
-                case 't': out.push_back('\t'); break;
+            char decoded;
+            switch (text[pos++]) {
+                case '"': decoded = '"'; break;
+                case '\\': decoded = '\\'; break;
+                case '/': decoded = '/'; break;
+                case 'b': decoded = '\b'; break;
+                case 'f': decoded = '\f'; break;
+                case 'n': decoded = '\n'; break;
+                case 'r': decoded = '\r'; break;
+                case 't': decoded = '\t'; break;
                 case 'u': {
                     unsigned code = 0;
                     for (int i = 0; i < 4; ++i) {
@@ -213,108 +85,125 @@ struct JsonBuilder {
                         else if (h >= 'A' && h <= 'F') code |= unsigned(h - 'A' + 10);
                         else return false;
                     }
-                    append_utf8(out, code);
-                    break;
+                    if (out) append_utf8(*out, code);
+                    continue;
                 }
                 default: return false;
             }
+            if (out) out->push_back(decoded);
         }
         return false;  // unterminated
     }
 
-    bool parse_number(double& out) {
-        const std::size_t start = pos;
-        JsonCursor cursor{text, pos};
-        if (!cursor.parse_number()) return false;
-        pos = cursor.pos;
-        out = std::strtod(std::string(text.substr(start, pos - start)).c_str(),
-                          nullptr);
+    bool skip_digits() {
+        if (at_end() || !std::isdigit(static_cast<unsigned char>(peek())))
+            return false;
+        while (!at_end() && std::isdigit(static_cast<unsigned char>(peek())))
+            ++pos;
         return true;
     }
 
-    bool parse_value(JsonValue& out) {
+    bool parse_number(double* out) {
+        const std::size_t start = pos;
+        consume('-');
+        if (!at_end() && peek() == '0') {
+            ++pos;
+        } else if (!skip_digits()) {
+            return false;
+        }
+        if (consume('.') && !skip_digits()) return false;
+        if (!at_end() && (peek() == 'e' || peek() == 'E')) {
+            ++pos;
+            if (!at_end() && (peek() == '+' || peek() == '-')) ++pos;
+            if (!skip_digits()) return false;
+        }
+        if (out)
+            *out = std::strtod(
+                std::string(text.substr(start, pos - start)).c_str(), nullptr);
+        return true;
+    }
+
+    bool parse_value(JsonValue* out) {
         if (++depth > kMaxDepth) return false;
         skip_ws();
         if (at_end()) return false;
+        using Type = JsonValue::Type;
+        Type type;
         bool ok;
         switch (peek()) {
-            case '{': out.type = JsonValue::Type::Object; ok = parse_object(out); break;
-            case '[': out.type = JsonValue::Type::Array; ok = parse_array(out); break;
-            case '"': out.type = JsonValue::Type::String; ok = parse_string(out.string); break;
+            case '{': type = Type::Object; ok = parse_object(out); break;
+            case '[': type = Type::Array; ok = parse_array(out); break;
+            case '"':
+                type = Type::String;
+                ok = parse_string(out ? &out->string : nullptr);
+                break;
             case 't':
-                out.type = JsonValue::Type::Bool;
-                out.boolean = true;
+                type = Type::Bool;
                 ok = consume_literal("true");
+                if (out) out->boolean = true;
                 break;
-            case 'f':
-                out.type = JsonValue::Type::Bool;
-                ok = consume_literal("false");
-                break;
-            case 'n': ok = consume_literal("null"); break;
+            case 'f': type = Type::Bool; ok = consume_literal("false"); break;
+            case 'n': type = Type::Null; ok = consume_literal("null"); break;
             default:
-                out.type = JsonValue::Type::Number;
-                ok = parse_number(out.number);
+                type = Type::Number;
+                ok = parse_number(out ? &out->number : nullptr);
                 break;
         }
+        if (out) out->type = type;
         --depth;
         return ok;
     }
 
-    bool consume_literal(std::string_view word) {
-        if (text.substr(pos, word.size()) != word) return false;
-        pos += word.size();
-        return true;
-    }
-
-    bool parse_object(JsonValue& out) {
+    bool parse_object(JsonValue* out) {
         if (!consume('{')) return false;
         skip_ws();
         if (consume('}')) return true;
         while (true) {
             skip_ws();
             std::string key;
-            if (!parse_string(key)) return false;
+            if (!parse_string(out ? &key : nullptr)) return false;
             skip_ws();
             if (!consume(':')) return false;
             JsonValue value;
-            if (!parse_value(value)) return false;
-            out.object.emplace_back(std::move(key), std::move(value));
+            if (!parse_value(out ? &value : nullptr)) return false;
+            if (out) out->object.emplace_back(std::move(key), std::move(value));
             skip_ws();
             if (consume('}')) return true;
             if (!consume(',')) return false;
         }
     }
 
-    bool parse_array(JsonValue& out) {
+    bool parse_array(JsonValue* out) {
         if (!consume('[')) return false;
         skip_ws();
         if (consume(']')) return true;
         while (true) {
             JsonValue value;
-            if (!parse_value(value)) return false;
-            out.array.push_back(std::move(value));
+            if (!parse_value(out ? &value : nullptr)) return false;
+            if (out) out->array.push_back(std::move(value));
             skip_ws();
             if (consume(']')) return true;
             if (!consume(',')) return false;
         }
+    }
+
+    /// One value spanning the whole input, surrounding whitespace allowed.
+    bool parse_document(JsonValue* out) {
+        if (!parse_value(out)) return false;
+        skip_ws();
+        return at_end();
     }
 };
 
 }  // namespace
 
 bool json_valid(std::string_view text) {
-    JsonCursor cursor{text};
-    if (!cursor.parse_value()) return false;
-    cursor.skip_ws();
-    return cursor.at_end();
+    return JsonCursor{text}.parse_document(nullptr);
 }
 
 std::optional<JsonValue> json_parse(std::string_view text) {
-    JsonBuilder builder{text};
     JsonValue value;
-    if (!builder.parse_value(value)) return std::nullopt;
-    builder.skip_ws();
-    if (!builder.at_end()) return std::nullopt;
+    if (!JsonCursor{text}.parse_document(&value)) return std::nullopt;
     return value;
 }
 

@@ -1,9 +1,10 @@
 #pragma once
 
-// Minimal JSON support — no dependencies. Two layers:
-//   json_valid()  — syntax validator (no parse tree), used by obs tests
-//                   and the obs_smoke ctest to assert exports are
-//                   well-formed without pulling in a JSON library.
+// Minimal JSON support — no dependencies. One recursive-descent grammar
+// walker with an optional DOM output, behind two entry points:
+//   json_valid()  — syntax validator (no parse tree, no allocation), used
+//                   by obs tests and the obs_smoke ctest to assert exports
+//                   are well-formed without pulling in a JSON library.
 //   json_parse()  — tiny DOM for the consumers that must *read* obs JSON
 //                   (the `dynaddr top` renderer polling /top). Built for
 //                   small trusted payloads from our own endpoints, not as

@@ -6,7 +6,7 @@
 // render as a flame graph. Spans on the same thread nest naturally
 // because Perfetto stacks overlapping events per tid.
 //
-//     { obs::ObsSpan span("pipeline.filter_probes"); ... }
+//     { obs::ObsSpan span("pipeline.periodicity"); ... }
 //
 // An optional Histogram target makes a span double as a latency sample
 // even when tracing is disabled.

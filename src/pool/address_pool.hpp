@@ -77,7 +77,7 @@ struct PoolConfig {
 /// swap-remove) are kept because their push/pop order defines which
 /// address a random draw yields — they are determinism-bearing state, the
 /// bitmaps and handle tables are the fast indexes over them.
-/// src/pool/reference_pool.hpp preserves the original hash-map
+/// tests/oracles/reference_pool.hpp preserves the original hash-map
 /// implementation as the behavioural oracle.
 class AddressPool {
 public:

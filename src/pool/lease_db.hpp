@@ -30,7 +30,8 @@ struct Lease {
 /// invalidated lazily: each grant stamps the record with a fresh sequence
 /// number, and stale heap entries are skipped on pop. Expiry order is by
 /// expiry time with ties in grant order — exactly the old std::multimap
-/// semantics (see ReferenceLeaseDb, the differential-test oracle).
+/// semantics (see ReferenceLeaseDb in tests/oracles/reference_pool.hpp,
+/// the differential-test oracle).
 class LeaseDb {
 public:
     LeaseDb();

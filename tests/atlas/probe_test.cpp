@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "atlas/binary_bundle.hpp"
 #include "atlas/controller.hpp"
 
 namespace dynaddr::atlas {
@@ -24,6 +25,7 @@ struct Rig {
           probe(make_config(version, frag_probability), sim, rng::Stream(2),
                 controller, timeline) {
         controller.register_probe(probe);
+        controller.set_sink(&collector);
     }
 
     static ProbeConfig make_config(ProbeVersion version, double frag) {
@@ -42,6 +44,8 @@ struct Rig {
         sim.run_until(sim.now() + Duration::seconds(200));  // connect fires
     }
 
+    DatasetBundle records;  ///< what the controller forwarded
+    BundleCollector collector{records};
     sim::Simulation sim;
     Controller controller;
     Timeline timeline;
@@ -52,8 +56,8 @@ TEST(Probe, ConnectsAfterBootAndReportsUptime) {
     Rig rig;
     rig.bring_up(v4(1));
     EXPECT_TRUE(rig.probe.connected());
-    ASSERT_EQ(rig.controller.uptime_records().size(), 1u);
-    const auto& record = rig.controller.uptime_records()[0];
+    ASSERT_EQ(rig.records.uptime_records.size(), 1u);
+    const auto& record = rig.records.uptime_records[0];
     // Uptime counts from boot start (t=0).
     EXPECT_EQ(record.uptime_seconds,
               std::uint64_t(record.timestamp.unix_seconds()));
@@ -66,8 +70,9 @@ TEST(Probe, AddressChangeBreaksConnectionAfterTcpTimeout) {
     rig.probe.wan_update(v4(2));
     EXPECT_TRUE(rig.probe.connected()) << "TCP lingers until retransmission death";
     rig.sim.run_until(change_at + Duration::minutes(40));
-    ASSERT_EQ(rig.controller.connection_log().size(), 1u);
-    const auto& entry = rig.controller.connection_log()[0];
+    ASSERT_EQ(rig.records.connection_log.size(), 1u);
+    // A copy: the second entry below may reallocate the log.
+    const ConnectionLogEntry entry = rig.records.connection_log[0];
     EXPECT_EQ(entry.address, v4(1));
     // End is logged at/just before the change (last receipt of data).
     EXPECT_LE(entry.end, change_at);
@@ -76,7 +81,7 @@ TEST(Probe, AddressChangeBreaksConnectionAfterTcpTimeout) {
     EXPECT_TRUE(rig.probe.connected());
     // The inter-connection gap is the paper's 15-25 minute TCP timeout.
     rig.probe.power_off();  // flush second entry
-    const auto& second = rig.controller.connection_log()[1];
+    const auto& second = rig.records.connection_log[1];
     EXPECT_EQ(second.address, v4(2));
     const auto gap = second.start - entry.end;
     EXPECT_GE(gap, Duration::minutes(15) - Duration::seconds(180));
@@ -92,7 +97,7 @@ TEST(Probe, ShortBlipOnSameAddressKeepsConnection) {
     rig.probe.wan_update(v4(1));
     rig.sim.run_until(rig.sim.now() + Duration::hours(1));
     EXPECT_TRUE(rig.probe.connected());
-    EXPECT_TRUE(rig.controller.connection_log().empty())
+    EXPECT_TRUE(rig.records.connection_log.empty())
         << "surviving connection produces no log entry";
 }
 
@@ -102,7 +107,7 @@ TEST(Probe, LongOutageBreaksEvenWithSameAddress) {
     rig.probe.wan_update(std::nullopt);
     rig.sim.run_until(rig.sim.now() + Duration::hours(1));
     EXPECT_FALSE(rig.probe.connected());
-    EXPECT_EQ(rig.controller.connection_log().size(), 1u);
+    EXPECT_EQ(rig.records.connection_log.size(), 1u);
     rig.probe.wan_update(v4(1));
     rig.sim.run_until(rig.sim.now() + Duration::minutes(5));
     EXPECT_TRUE(rig.probe.connected());
@@ -114,7 +119,7 @@ TEST(Probe, PowerCycleRecordsBootAndDownInterval) {
     const TimePoint off_at = rig.sim.now();
     rig.probe.power_off();
     EXPECT_FALSE(rig.probe.connected());
-    EXPECT_EQ(rig.controller.connection_log().size(), 1u);
+    EXPECT_EQ(rig.records.connection_log.size(), 1u);
     rig.sim.run_until(off_at + Duration::minutes(10));
     rig.probe.power_on(RebootCause::PowerCycle);
     rig.sim.run_until(rig.sim.now() + Duration::minutes(10));
@@ -126,8 +131,8 @@ TEST(Probe, PowerCycleRecordsBootAndDownInterval) {
     // Probe-down intervals: pre-boot and the outage window.
     ASSERT_GE(rig.timeline.probe_down_intervals().size(), 2u);
     // Uptime counter reset: second uptime record is smaller than elapsed.
-    ASSERT_EQ(rig.controller.uptime_records().size(), 2u);
-    EXPECT_LT(rig.controller.uptime_records()[1].uptime_seconds,
+    ASSERT_EQ(rig.records.uptime_records.size(), 2u);
+    EXPECT_LT(rig.records.uptime_records[1].uptime_seconds,
               std::uint64_t(rig.sim.now().unix_seconds()));
 }
 

@@ -1,16 +1,17 @@
 // StreamingPipeline vs the batch reference: byte-identical fingerprints
 // on the presets (any thread count, obs on or off), the push-interface
-// ordering contract, O(probes) memory accounting, and the binary-bundle
-// ingestion path.
+// ordering contract, O(probes) memory accounting, and the binary- and
+// CSV-bundle ingestion paths.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,111 +21,22 @@
 #include "isp/presets.hpp"
 #include "netcore/error.hpp"
 #include "netcore/obs/trace.hpp"
+#include "oracles/fingerprint.hpp"
+#include "oracles/reference_pipeline.hpp"
 
 namespace dynaddr::core {
 namespace {
 
 namespace fs = std::filesystem;
 
-void dump_outage_map(
-    std::ostream& out, const char* tag,
-    const std::map<atlas::ProbeId, std::vector<DetectedOutage>>& outages) {
-    for (const auto& [probe, list] : outages) {
-        out << tag << ' ' << probe;
-        for (const auto& o : list)
-            out << " [" << int(o.kind) << ' ' << o.begin.unix_seconds() << ' '
-                << o.end.unix_seconds() << ']';
-        out << '\n';
-    }
-}
-
-void dump_outcome_map(
-    std::ostream& out, const char* tag,
-    const std::map<atlas::ProbeId, std::vector<OutageOutcome>>& outcomes) {
-    for (const auto& [probe, list] : outcomes) {
-        out << tag << ' ' << probe;
-        for (const auto& o : list)
-            out << " [" << o.outage.begin.unix_seconds() << ' '
-                << o.outage.end.unix_seconds() << ' ' << o.address_change
-                << ']';
-        out << '\n';
-    }
-}
-
-/// Byte-exact rendering of every analysis output: anything the streaming
-/// path derives differently from the reference shows up as a diff here.
-std::string fingerprint(const AnalysisResults& r) {
-    std::ostringstream out;
-    out << "window " << r.window.begin.unix_seconds() << ' '
-        << r.window.end.unix_seconds() << '\n';
-    for (const auto& [probe, category] : r.filter.category)
-        out << "cat " << probe << ' ' << category_name(category) << '\n';
-    out << "analyzable-logs " << r.filter.analyzable.size() << '\n';
-    for (const auto& [probe, version] : r.probe_versions)
-        out << "ver " << probe << ' ' << int(version) << '\n';
-    for (const auto& pc : r.changes) {
-        out << "probe " << pc.probe << " total "
-            << pc.total_address_time.count() << '\n';
-        for (const auto& c : pc.changes)
-            out << "  change " << c.last_seen.unix_seconds() << ' '
-                << c.first_seen.unix_seconds() << ' ' << c.from.to_string()
-                << ' ' << c.to.to_string() << '\n';
-        for (const auto& s : pc.spans)
-            out << "  span " << s.address.to_string() << ' '
-                << s.begin.unix_seconds() << ' ' << s.end.unix_seconds()
-                << '\n';
-    }
-    out << "ipv6 " << r.ipv6_privacy.total_addresses << ' '
-        << r.ipv6_privacy.ephemeral_addresses << ' '
-        << r.ipv6_privacy.rotating_probes << '\n';
-    out << "firmware median " << r.firmware.median_per_day << '\n';
-    for (const auto& [day, count] : r.firmware.probes_rebooted_per_day)
-        out << "reboots " << day << ' ' << count << '\n';
-    for (const auto& release : r.firmware.release_days)
-        out << "release " << release.unix_seconds() << '\n';
-    dump_outage_map(out, "nw", r.network_outages);
-    dump_outage_map(out, "pw", r.power_outages);
-    dump_outcome_map(out, "nw-out", r.network_outcomes);
-    dump_outcome_map(out, "pw-out", r.power_outcomes);
-    for (const auto& p : r.cond_prob.probes)
-        out << "cp " << p.probe << ' ' << p.network_outages << ' '
-            << p.network_changes << ' ' << p.power_outages << ' '
-            << p.power_changes << '\n';
-    auto dump_row = [&](const Table6Row& row) {
-        out << "t6 " << row.asn << ' ' << row.as_name << ' ' << row.n << ' '
-            << row.pct_nw_over << ' ' << row.pct_nw_one << ' '
-            << row.pct_pw_over << ' ' << row.pct_pw_one << '\n';
-    };
-    dump_row(r.cond_prob.all);
-    for (const auto& row : r.cond_prob.as_rows) dump_row(row);
-    auto dump_t5 = [&](const Table5Row& row) {
-        out << "t5 " << row.asn << ' ' << row.as_name << ' ' << row.d_hours
-            << ' ' << row.probes_with_change << ' ' << row.periodic_probes
-            << ' ' << row.pct_over_half << ' ' << row.pct_harmonic << '\n';
-    };
-    for (const auto& row : r.periodicity.all_rows) dump_t5(row);
-    for (const auto& row : r.periodicity.as_rows) dump_t5(row);
-    auto dump_t7 = [&](const Table7Row& row) {
-        out << "t7 " << row.asn << ' ' << row.as_name << ' '
-            << row.total_changes << ' ' << row.diff_bgp << ' ' << row.diff_16
-            << ' ' << row.diff_8 << '\n';
-    };
-    dump_t7(r.prefix_changes.all);
-    for (const auto& row : r.prefix_changes.as_rows) dump_t7(row);
-    out << "admin " << r.admin_events.size() << '\n';
-    return out.str();
-}
-
 std::string reference_fingerprint(const isp::ScenarioResult& scenario,
                                   const isp::ScenarioConfig& config,
                                   std::size_t threads) {
     PipelineConfig pipeline_config;
     pipeline_config.threads = threads;
-    AnalysisPipeline pipeline(pipeline_config);
-    return fingerprint(pipeline.run_reference(scenario.bundle,
-                                              scenario.prefix_table,
-                                              scenario.registry,
-                                              config.window));
+    return fingerprint(run_reference(pipeline_config, scenario.bundle,
+                                     scenario.prefix_table, scenario.registry,
+                                     config.window));
 }
 
 std::string streaming_fingerprint(const isp::ScenarioResult& scenario,
@@ -144,7 +56,8 @@ void expect_streaming_matches_reference(const isp::ScenarioConfig& config) {
     const std::string reference = reference_fingerprint(scenario, config, 1);
     ASSERT_FALSE(reference.empty());
     for (const std::size_t threads : {1u, 0u})
-        EXPECT_EQ(streaming_fingerprint(scenario, config, threads), reference)
+        EXPECT_TRUE(streaming_fingerprint(scenario, config, threads) ==
+                    reference)
             << "threads=" << threads;
 }
 
@@ -169,7 +82,7 @@ TEST(StreamingDifferential, IdenticalWithObsTracingEnabled) {
     obs::enable_trace();
     const std::string streamed = streaming_fingerprint(scenario, config, 2);
     obs::disable_trace();
-    EXPECT_EQ(streamed, reference);
+    EXPECT_TRUE(streamed == reference);
 }
 
 TEST(StreamingDifferential, BatchRunIsTheStreamingAdapter) {
@@ -183,7 +96,7 @@ TEST(StreamingDifferential, BatchRunIsTheStreamingAdapter) {
     const auto via_run = fingerprint(pipeline.run(
         scenario.bundle, scenario.prefix_table, scenario.registry,
         config.window));
-    EXPECT_EQ(via_run, reference_fingerprint(scenario, config, 1));
+    EXPECT_TRUE(via_run == reference_fingerprint(scenario, config, 1));
 }
 
 // -- push-interface contract -------------------------------------------------
@@ -338,7 +251,7 @@ TEST(StreamingBinary, FeedBinaryBundleMatchesBatch) {
     const std::string streamed = fingerprint(pipeline.finish());
     fs::remove_all(dir);
 
-    EXPECT_EQ(streamed, reference);
+    EXPECT_TRUE(streamed == reference);
     EXPECT_EQ(pipeline.buffered_records(), 0u);
     EXPECT_GT(pipeline.probes_seen(), 0u);
 }
@@ -375,8 +288,6 @@ TEST(StreamingBinary, TeedOutageBundleMatchesReferenceBothWays) {
                            .run(atlas::read_binary_bundle(dir.string()),
                                 scenario->prefix_table, scenario->registry,
                                 config.window);
-    // EXPECT_TRUE, not EXPECT_EQ: on a mismatch gtest would diff the two
-    // fingerprints line by line, and at this size that exhausts memory.
     EXPECT_GT(outage_count(batch.power_outages), 0u);
     EXPECT_TRUE(fingerprint(batch) == reference)
         << "batch read of the teed bundle differs from the reference";
@@ -392,6 +303,55 @@ TEST(StreamingBinary, TeedOutageBundleMatchesReferenceBothWays) {
     EXPECT_GT(outage_count(streamed.power_outages), 0u);
     EXPECT_TRUE(fingerprint(streamed) == reference)
         << "streamed read of the teed bundle differs from the reference";
+}
+
+// -- CSV bundle ingestion -----------------------------------------------------
+
+TEST(CsvBundle, TimeOrderedFilesAnalyzeLikeProbeSorted) {
+    // K-root and SOS-uptime results arrive per measurement, in time order,
+    // not grouped by probe. read_bundle must regroup them: the analysis
+    // keeps only the first run of a probe's records, so an ungrouped file
+    // loses nearly every §5 outage.
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("dynaddr_csv_time_ordered_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    const auto config = isp::presets::outage_scenario();
+    const auto scenario = isp::run_scenario(config);
+    atlas::write_bundle(dir.string(), scenario.bundle);
+
+    PipelineConfig pipeline_config;
+    pipeline_config.threads = 1;
+    const AnalysisPipeline pipeline(pipeline_config);
+    auto analyze = [&] {
+        return pipeline.run(atlas::read_bundle(dir.string()),
+                            scenario.prefix_table, scenario.registry,
+                            config.window);
+    };
+    const auto probe_sorted = analyze();
+
+    auto by_time = [](const auto& a, const auto& b) {
+        return a.timestamp < b.timestamp;
+    };
+    auto kroot = scenario.bundle.kroot_pings;
+    std::stable_sort(kroot.begin(), kroot.end(), by_time);
+    auto uptime = scenario.bundle.uptime_records;
+    std::stable_sort(uptime.begin(), uptime.end(), by_time);
+    {
+        std::ofstream out(dir / "kroot.csv");
+        atlas::write_kroot_csv(out, kroot);
+    }
+    {
+        std::ofstream out(dir / "uptime.csv");
+        atlas::write_uptime_csv(out, uptime);
+    }
+    const auto time_ordered = analyze();
+    fs::remove_all(dir);
+
+    EXPECT_GT(outage_count(probe_sorted.network_outages), 0u);
+    EXPECT_GT(outage_count(probe_sorted.power_outages), 0u);
+    EXPECT_TRUE(fingerprint(time_ordered) == fingerprint(probe_sorted))
+        << "time-ordered kroot.csv/uptime.csv analyze differently";
 }
 
 }  // namespace

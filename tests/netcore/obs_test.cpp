@@ -183,7 +183,7 @@ TEST(Trace, SpanFeedsHistogramEvenWhenDisabled) {
     EXPECT_EQ(h.count(), before + 1);
 }
 
-// -- JSON validator --------------------------------------------------------
+// -- JSON validator and parser ---------------------------------------------
 
 TEST(JsonValid, AcceptsAndRejects) {
     EXPECT_TRUE(json_valid("{}"));
@@ -197,6 +197,64 @@ TEST(JsonValid, AcceptsAndRejects) {
     EXPECT_FALSE(json_valid("\"unterminated"));
     EXPECT_FALSE(json_valid("{} extra"));
     EXPECT_FALSE(json_valid("{\"bad\\q\": 1}"));
+}
+
+TEST(JsonParse, AcceptsExactlyWhatJsonValidAccepts) {
+    // json_valid and json_parse share one grammar walker; the DOM build
+    // must not change which inputs the grammar accepts.
+    const std::string deepest = std::string(256, '[') + std::string(256, ']');
+    const std::string too_deep = '[' + deepest + ']';
+    const struct {
+        std::string text;
+        bool valid;
+    } cases[] = {
+        // JsonValid.AcceptsAndRejects
+        {"{}", true},
+        {R"({"a": [1, 2.5, -3e2], "b": {"c": null}})", true},
+        {"  [true, false, \"x\\n\\u00e9\"] ", true},
+        {"", false},
+        {"{", false},
+        {"{\"a\": }", false},
+        {"[1,]", false},
+        {"01", false},
+        {"\"unterminated", false},
+        {"{} extra", false},
+        {"{\"bad\\q\": 1}", false},
+        // \u escapes
+        {R"("\u00E9\u20ac\u0041")", true},
+        {R"({"\u0041": 1})", true},
+        {R"("\u12")", false},
+        {R"("\u12g4")", false},
+        {R"("\u)", false},
+        // literals
+        {"true", true},
+        {"false", true},
+        {"null", true},
+        {"tru", false},
+        {"nul", false},
+        {"False", false},
+        // trailing garbage
+        {"true false", false},
+        {"null,", false},
+        {"1 2", false},
+        {"\"a\"\"b\"", false},
+        {"[] ]", false},
+        // nesting at and just past the 256-deep limit
+        {deepest, true},
+        {too_deep, false},
+    };
+    for (const auto& c : cases) {
+        EXPECT_EQ(json_valid(c.text), c.valid) << c.text;
+        EXPECT_EQ(json_parse(c.text).has_value(), c.valid) << c.text;
+    }
+    // The DOM side decodes what the validator only checks.
+    const auto decoded = json_parse(R"(["\u00e9\n", true, -2.5e1, null])");
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_EQ(decoded->array.size(), 4u);
+    EXPECT_EQ(decoded->array[0].string, "\xc3\xa9\n");
+    EXPECT_TRUE(decoded->array[1].boolean);
+    EXPECT_EQ(decoded->array[2].number, -25.0);
+    EXPECT_EQ(decoded->array[3].type, JsonValue::Type::Null);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Differential property tests: the bitmap AddressPool and the
 // open-addressing LeaseDb against the original map-based implementations
-// (src/pool/reference_pool.hpp), the same oracle pattern PR 2 used for
-// the event queue. The reference defines every rng draw and every
+// (tests/oracles/reference_pool.hpp), the same oracle pattern as the
+// event queue's. The reference defines every rng draw and every
 // ordering decision; the fast implementations must reproduce them bit for
 // bit across strategies, seeds and arbitrary operation interleavings.
 
@@ -12,9 +12,9 @@
 #include <vector>
 
 #include "netcore/obs/metrics.hpp"
+#include "oracles/reference_pool.hpp"
 #include "pool/address_pool.hpp"
 #include "pool/lease_db.hpp"
-#include "pool/reference_pool.hpp"
 
 namespace dynaddr::pool {
 namespace {

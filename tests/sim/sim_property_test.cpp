@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "netcore/rng.hpp"
+#include "oracles/reference_queue.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/reference_queue.hpp"
 
 namespace dynaddr::sim {
 namespace {

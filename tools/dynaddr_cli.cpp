@@ -342,17 +342,17 @@ bgp::AsRegistry load_context_registry(const fs::path& dir) {
     const fs::path path = dir / "registry.csv";
     if (!fs::exists(path)) return registry;
     std::ifstream in(path);
-    csv::Reader reader(in);
+    csv::ScanReader reader(in);
     const auto c_asn = reader.column("asn");
     const auto c_name = reader.column("name");
     const auto c_country = reader.column("country");
     const auto c_continent = reader.column("continent");
-    while (auto row = reader.next_row()) {
+    while (const auto* row = reader.next_row()) {
         bgp::AsInfo info;
-        info.asn = std::uint32_t(std::stoul((*row)[c_asn]));
+        info.asn = std::uint32_t(std::stoul(std::string((*row)[c_asn])));
         info.name = (*row)[c_name];
         info.country_code = (*row)[c_country];
-        const std::string& code = (*row)[c_continent];
+        const std::string_view code = (*row)[c_continent];
         using bgp::Continent;
         info.continent = code == "NA"   ? Continent::NorthAmerica
                          : code == "AS" ? Continent::Asia
