@@ -1,7 +1,11 @@
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 
+#include "bgp/as_registry.hpp"
+#include "bgp/prefix_table.hpp"
 #include "core/pipeline.hpp"
 
 namespace dynaddr::core {
@@ -22,5 +26,21 @@ std::string render_summary(const AnalysisResults& results);
 
 /// Formats a double with the given decimals (shared by benches).
 std::string fmt(double value, int decimals = 1);
+
+/// One named artifact of `dynaddr analyze --report`: a table, figure or
+/// §8 extension rendered from the pipeline results plus the IP-to-AS
+/// context. The text is printed as is; it ends with a blank line.
+struct ReportSection {
+    std::string_view name;
+    std::string (*render)(const AnalysisResults& results,
+                          const bgp::PrefixTable& table,
+                          const bgp::AsRegistry& registry);
+};
+
+/// Every section, in print order (the order `--report all` uses).
+std::span<const ReportSection> report_sections();
+
+/// The section called `name`, nullptr when there is none.
+const ReportSection* find_report_section(std::string_view name);
 
 }  // namespace dynaddr::core

@@ -299,23 +299,7 @@ void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot) {
 void write_metrics_file(const std::string& path) {
     std::ofstream out(path);
     if (!out) throw Error("cannot open " + path + " for writing");
-    const auto snapshot = metrics_snapshot();
-    if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0)
-        write_metrics_csv(out, snapshot);
-    else
-        write_metrics_json(out, snapshot);
-}
-
-void write_metrics_csv(std::ostream& out, const MetricsSnapshot& snapshot) {
-    out << "kind,name,value\n";
-    for (const auto& [name, value] : snapshot.counters)
-        out << "counter," << name << ',' << value << '\n';
-    for (const auto& [name, value] : snapshot.gauges)
-        out << "gauge," << name << ',' << value << '\n';
-    for (const auto& [name, sample] : snapshot.histograms) {
-        out << "histogram_count," << name << ',' << sample.count << '\n';
-        out << "histogram_sum," << name << ',' << sample.sum << '\n';
-    }
+    write_metrics_json(out, metrics_snapshot());
 }
 
 }  // namespace dynaddr::obs

@@ -12,7 +12,7 @@
 //     ...
 //     metrics.fired.inc();
 //
-// Snapshots are value copies usable for before/after diffing; JSON/CSV
+// Snapshots are value copies usable for before/after diffing; JSON
 // export orders names lexicographically so output is deterministic.
 
 #include <atomic>
@@ -126,9 +126,8 @@ struct MetricsIndex {
 /// Bumped on every counter/gauge/histogram registration.
 [[nodiscard]] std::uint64_t metrics_generation();
 
-/// Writes a snapshot to `path`, choosing CSV for a ".csv" suffix and JSON
-/// otherwise (the --metrics-out convention). Throws Error when the file
-/// cannot be opened.
+/// Writes a JSON snapshot to `path` (--metrics-out). Throws Error when
+/// the file cannot be opened.
 void write_metrics_file(const std::string& path);
 
 /// Crash-path iteration: visits every counter and gauge WITHOUT taking the
@@ -148,9 +147,6 @@ void visit_metrics_for_crash_dump(
 /// JSON object: {"counters": {...}, "gauges": {...}, "histograms": {...},
 /// "<block>": {...} per metrics_block prefix}. Keys sorted.
 void write_metrics_json(std::ostream& out, const MetricsSnapshot& snapshot);
-
-/// CSV: kind,name,value (histograms flatten to count/sum rows).
-void write_metrics_csv(std::ostream& out, const MetricsSnapshot& snapshot);
 
 /// RAII wall-clock timer: observes elapsed seconds into a histogram.
 class ScopedTimer {

@@ -12,7 +12,6 @@
 
 #include "netcore/error.hpp"
 #include "netcore/obs/metrics.hpp"
-#include "netcore/time.hpp"
 
 namespace dynaddr::obs {
 
@@ -327,15 +326,6 @@ std::vector<SeriesRow> SeriesRecorder::rows() const {
 
 namespace {
 
-/// Timestamps are unix seconds; whole-second values also get a readable
-/// UTC rendering (simulated clocks are always whole seconds).
-std::string time_column(double t) {
-    const auto whole = std::int64_t(t);
-    if (double(whole) == t)
-        return net::TimePoint{whole}.to_string();
-    return {};
-}
-
 void write_double(std::ostream& out, double value) {
     char buffer[40];
     std::snprintf(buffer, sizeof buffer, "%.6f", value);
@@ -367,30 +357,10 @@ void SeriesRecorder::write_json(std::ostream& out) const {
     out << (first ? "" : "\n  ") << "]\n}\n";
 }
 
-void SeriesRecorder::write_csv(std::ostream& out) const {
-    out << "t,time,kind,metric,value,cumulative,rate\n";
-    for (const SeriesRow& row : rows()) {
-        write_double(out, row.t);
-        out << ',' << time_column(row.t) << ','
-            << (row.is_counter ? "counter" : "gauge") << ',' << row.metric
-            << ',' << row.value << ',';
-        if (row.is_counter) {
-            out << row.cumulative << ',';
-            write_double(out, row.rate);
-        } else {
-            out << ',';
-        }
-        out << '\n';
-    }
-}
-
 void SeriesRecorder::write_file(const std::string& path) const {
     std::ofstream out(path);
     if (!out) throw Error("cannot open " + path + " for writing");
-    if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0)
-        write_csv(out);
-    else
-        write_json(out);
+    write_json(out);
 }
 
 }  // namespace dynaddr::obs

@@ -107,11 +107,8 @@ public:
     /// {"interval_seconds": ..., "series": [{...}, ...]} — one object per
     /// (timestamp, metric) row.
     void write_json(std::ostream& out) const;
-    /// Header t,time,kind,metric,value,cumulative,rate; one row per
-    /// (timestamp, metric).
-    void write_csv(std::ostream& out) const;
 
-    /// As --metrics-out: ".csv" suffix selects CSV, anything else JSON.
+    /// write_json to `path` (--series-out).
     void write_file(const std::string& path) const;
 
 private:

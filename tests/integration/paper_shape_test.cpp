@@ -1,14 +1,147 @@
-// Regression locks for the headline shapes EXPERIMENTS.md reports: the
-// benches only print them; these assertions keep them true. Two shared
-// year-long runs (~1 s each).
+// Regression locks for the headline shapes EXPERIMENTS.md reports:
+// `dynaddr analyze --report` only prints them; these assertions keep them
+// true, and the drift checks keep EXPERIMENTS.md's measured numbers equal
+// to what the report sections print. Two shared year-long runs (~1 s
+// each). DYNADDR_EXPERIMENTS_MD is injected by CMake.
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <fstream>
+#include <regex>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/pipeline.hpp"
+#include "core/report.hpp"
 #include "isp/presets.hpp"
 
 namespace dynaddr {
 namespace {
+
+/// One EXPERIMENTS.md heading that names the report sections its numbers
+/// come from, as "## Title (paper preset, `--report table2,summary`)".
+struct DocBlock {
+    std::string heading;
+    std::string preset;
+    std::vector<std::string> sections;
+    /// Numbers quoted in a Measured column or in bold, commas removed.
+    std::vector<std::string> numbers;
+};
+
+std::vector<std::string> split(const std::string& text, char separator) {
+    std::vector<std::string> parts;
+    std::string part;
+    std::istringstream in(text);
+    while (std::getline(in, part, separator)) parts.push_back(part);
+    return parts;
+}
+
+/// Appends the numbers in `text`; a date (2015-07-06) is one number.
+void add_numbers(const std::string& text, std::vector<std::string>& numbers) {
+    static const std::regex number(R"(\d{4}-\d\d-\d\d|\d[\d,]*(\.\d+)?%?)");
+    for (std::sregex_iterator it(text.begin(), text.end(), number), end;
+         it != end; ++it) {
+        std::string value = it->str();
+        std::erase(value, ',');
+        numbers.push_back(value);
+    }
+}
+
+/// Parses EXPERIMENTS.md into the blocks whose heading names a preset and
+/// its report sections; other headings end a block and are skipped.
+std::vector<DocBlock> experiments_doc_blocks() {
+    std::ifstream in(DYNADDR_EXPERIMENTS_MD);
+    EXPECT_TRUE(in.good()) << DYNADDR_EXPERIMENTS_MD;
+    static const std::regex source(R"(\((\w+) preset, `--report ([\w,]+)`\))");
+    std::vector<DocBlock> blocks;
+    std::vector<std::string> texts;  // per block, for bold that spans lines
+    DocBlock* block = nullptr;
+    std::vector<std::size_t> measured_columns;
+    bool in_table = false;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("## ", 0) == 0) {
+            std::smatch match;
+            block = nullptr;
+            if (std::regex_search(line, match, source)) {
+                blocks.push_back({line, match[1], split(match[2], ','), {}});
+                texts.emplace_back();
+                block = &blocks.back();
+            }
+            continue;
+        }
+        if (block == nullptr) continue;
+        texts.back() += line + "\n";
+        if (line.rfind("|", 0) != 0) {
+            in_table = false;
+            continue;
+        }
+        // "\|" inside a cell is a literal bar, not a column break.
+        static const std::regex escaped_bar(R"(\\\|)");
+        const auto cells = split(std::regex_replace(line, escaped_bar, "/"), '|');
+        if (!in_table) {  // header row
+            in_table = true;
+            measured_columns.clear();
+            for (std::size_t c = 0; c < cells.size(); ++c)
+                if (cells[c].find("Measured") != std::string::npos)
+                    measured_columns.push_back(c);
+            continue;
+        }
+        if (line.rfind("|---", 0) == 0) continue;
+        for (const auto c : measured_columns)
+            if (c < cells.size()) add_numbers(cells[c], block->numbers);
+    }
+    static const std::regex bold(R"(\*\*([^*]+)\*\*)");
+    for (std::size_t b = 0; b < blocks.size(); ++b)
+        for (std::sregex_iterator it(texts[b].begin(), texts[b].end(), bold), end;
+             it != end; ++it)
+            add_numbers((*it)[1], blocks[b].numbers);
+    return blocks;
+}
+
+/// `number` occurs in `text` as a whole number: not inside a longer one.
+bool quotes(const std::string& text, const std::string& number) {
+    auto digit = [&](std::size_t i) {
+        return i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]));
+    };
+    for (auto at = text.find(number); at != std::string::npos;
+         at = text.find(number, at + 1)) {
+        const std::size_t after = at + number.size();
+        const bool starts = at == 0 || (!digit(at - 1) && text[at - 1] != '.');
+        const bool ends = number.back() == '%' ||
+                          (!digit(after) && !(text[after] == '.' && digit(after + 1)));
+        if (starts && ends) return true;
+    }
+    return false;
+}
+
+/// Checks every EXPERIMENTS.md block of `preset` against the report
+/// sections it names, rendered from `results`.
+void expect_doc_matches_report(const std::string& preset,
+                               const core::AnalysisResults& results,
+                               const isp::ScenarioResult& scenario) {
+    std::size_t checked = 0;
+    for (const auto& block : experiments_doc_blocks()) {
+        if (block.preset != preset) continue;
+        std::string rendered;
+        for (const auto& name : block.sections) {
+            const auto* section = core::find_report_section(name);
+            ASSERT_NE(section, nullptr) << block.heading << ": no section " << name;
+            rendered += section->render(results, scenario.prefix_table,
+                                        scenario.registry);
+        }
+        for (const auto& number : block.numbers) {
+            EXPECT_TRUE(quotes(rendered, number))
+                << block.heading << "\n  quotes " << number
+                << ", which `--report` does not print";
+            ++checked;
+        }
+    }
+    EXPECT_GE(checked, 40u) << "too few EXPERIMENTS.md numbers checked for "
+                            << preset;
+}
 
 class PaperWorldRun : public ::testing::Test {
 protected:
@@ -103,6 +236,10 @@ TEST_F(PaperWorldRun, Table7PrefixShapes) {
     EXPECT_GT(results_->prefix_changes.all.pct_bgp(), 25.0);
 }
 
+TEST_F(PaperWorldRun, ExperimentsMdMatchesReport) {
+    expect_doc_matches_report("paper", *results_, *scenario_);
+}
+
 TEST_F(PaperWorldRun, Ipv6PrivacyShapes) {
     const auto& v6 = results_->ipv6_privacy;
     ASSERT_GT(v6.probes.size(), 300u);
@@ -188,6 +325,10 @@ TEST_F(OutageWorldRun, Figure9DurationRamp) {
     ASSERT_GT(orange_short_total, 100.0);
     EXPECT_GT(orange_short_renumbered / orange_short_total, 0.85)
         << "Orange renumbers even on the shortest outages";
+}
+
+TEST_F(OutageWorldRun, ExperimentsMdMatchesReport) {
+    expect_doc_matches_report("outage", *results_, *scenario_);
 }
 
 TEST_F(OutageWorldRun, Figure6FirmwareRecovery) {

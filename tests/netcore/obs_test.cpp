@@ -81,15 +81,6 @@ TEST(Metrics, JsonExportIsValidAndGroupsBlocks) {
     EXPECT_NE(text.find("\"alpha\": "), std::string::npos);
 }
 
-TEST(Metrics, CsvExportHasHeaderAndRows) {
-    counter("obs_test.csv_counter").inc();
-    std::ostringstream out;
-    write_metrics_csv(out, metrics_snapshot());
-    const std::string text = out.str();
-    EXPECT_EQ(text.rfind("kind,name,value\n", 0), 0u);
-    EXPECT_NE(text.find("counter,obs_test.csv_counter,"), std::string::npos);
-}
-
 // -- logging ---------------------------------------------------------------
 
 TEST(Log, LevelParsing) {

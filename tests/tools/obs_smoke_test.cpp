@@ -1,6 +1,6 @@
 // End-to-end smoke test for the CLI observability flags: runs the real
 // dynaddr binary on the quick preset with --metrics-out/--trace-out and
-// validates the artifacts. DYNADDR_CLI_PATH is injected by CMake.
+// validates the artifacts, plus the analyze --report section list. DYNADDR_CLI_PATH is injected by CMake.
 
 #include <gtest/gtest.h>
 
@@ -71,16 +71,6 @@ TEST_F(ObsSmoke, QuickPresetEmitsValidMetricsAndTrace) {
     EXPECT_NE(trace_text.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(trace_text.find("\"ph\": \"X\""), std::string::npos);
     EXPECT_NE(trace_text.find("\"scenario.build\""), std::string::npos);
-}
-
-TEST_F(ObsSmoke, MetricsCsvSuffixSelectsCsv) {
-    const fs::path metrics = dir_ / "metrics.csv";
-    const std::string command = std::string(DYNADDR_CLI_PATH) +
-                                " --preset quick --metrics-out " + metrics.string() +
-                                " > " + (dir_ / "stdout.txt").string() + " 2>&1";
-    ASSERT_EQ(std::system(command.c_str()), 0) << command;
-    const std::string text = read_file(metrics);
-    EXPECT_EQ(text.rfind("kind,name,value\n", 0), 0u) << text.substr(0, 80);
 }
 
 TEST_F(ObsSmoke, SeriesOutRecordsSimulatedTimeSeries) {
@@ -239,6 +229,37 @@ TEST_F(ObsSmoke, FailedRunStillWritesMetricsOut) {
     const std::string metrics_text = read_file(metrics);
     ASSERT_FALSE(metrics_text.empty());
     EXPECT_TRUE(dynaddr::obs::json_valid(metrics_text));
+}
+
+TEST_F(ObsSmoke, UnknownReportSectionIsRejected) {
+    const fs::path bundle = dir_ / "bundle";
+    const std::string cli = DYNADDR_CLI_PATH;
+    const std::string simulate = cli + " simulate --preset quick --out " +
+                                 bundle.string() + " > /dev/null 2>&1";
+    ASSERT_EQ(std::system(simulate.c_str()), 0) << simulate;
+
+    // A misspelt section name fails and lists the valid names.
+    const fs::path stderr_path = dir_ / "stderr.txt";
+    const std::string typo = cli + " analyze --data " + bundle.string() +
+                             " --report summary,tabel5 > /dev/null 2> " +
+                             stderr_path.string();
+    EXPECT_NE(std::system(typo.c_str()), 0) << typo;
+    const std::string error = read_file(stderr_path);
+    EXPECT_NE(error.find("tabel5"), std::string::npos) << error;
+    EXPECT_NE(error.find("table5"), std::string::npos) << error;
+    EXPECT_NE(error.find("fig7_8"), std::string::npos) << error;
+
+    // Valid names print their sections and nothing else.
+    const fs::path stdout_path = dir_ / "stdout.txt";
+    const std::string valid = cli + " analyze --data " + bundle.string() +
+                              " --report fig2,table5 > " + stdout_path.string() +
+                              " 2>/dev/null";
+    ASSERT_EQ(std::system(valid.c_str()), 0) << valid;
+    const std::string text = read_file(stdout_path);
+    EXPECT_EQ(text.rfind("Periodic renumbering (Table 5):\n", 0), 0u)
+        << text.substr(0, 200);
+    EXPECT_NE(text.find("(Figure 2):\n"), std::string::npos);
+    EXPECT_EQ(text.find("Probe filtering (Table 2)"), std::string::npos);
 }
 
 TEST_F(ObsSmoke, TerminateAlsoFlushesEmergencyMetrics) {

@@ -11,8 +11,11 @@
 //   dynaddr analyze --data DIR [--report LIST]
 //       Loads a bundle (simulated or real; CSV or DAB2, auto-detected).
 //       IP-to-AS context comes from pfx2as_YYYY-MM.txt files and
-//       registry.csv in DIR when present. LIST is comma-separated from:
-//       summary,table2,table5,table6,table7,admin,all (default all).
+//       registry.csv in DIR when present. LIST is comma-separated
+//       section names from core::report_sections() (summary, table2,
+//       table5, table6, table7, fig1, fig2, fig3, fig4_5, fig6, fig7_8,
+//       fig9, causes, admin, ipv6, churn) or all (the default); an unknown
+//       name is an error.
 //       A DAB2 bundle is streamed probe by probe through
 //       core::StreamingPipeline (O(probes) memory); a CSV bundle is read
 //       whole. Both give the same reports.
@@ -48,6 +51,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -55,7 +59,6 @@
 
 #include "atlas/binary_bundle.hpp"
 #include "core/attribution_audit.hpp"
-#include "core/change_attribution.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
 #include "core/streaming_pipeline.hpp"
@@ -82,6 +85,14 @@ namespace {
 using namespace dynaddr;
 namespace fs = std::filesystem;
 
+/// The --report section names, comma-joined, plus "all".
+std::string section_names() {
+    std::string names;
+    for (const auto& section : core::report_sections())
+        names += std::string(section.name) + ",";
+    return names + "all";
+}
+
 int usage() {
     std::cerr <<
         "usage:\n"
@@ -89,9 +100,10 @@ int usage() {
         "                   [--format csv|binary|both] [--cause-ledger FILE]\n"
         "       (--cause-ledger streams ground-truth cause records to FILE;\n"
         "        .csv extension -> CSV, anything else -> DCL1 columnar)\n"
-        "  dynaddr analyze  --data DIR [--report summary,table2,table5,"
-        "table6,table7,admin,causes,all] [--threads N]\n"
+        "  dynaddr analyze  --data DIR [--report LIST] [--threads N]\n"
         "                   [--audit LEDGER]\n"
+        "       (LIST: comma-separated from " << section_names() << ";\n"
+        "        default all)\n"
         "       (--audit joins inferred causes against the ledger's ground\n"
         "        truth and prints the per-cause confusion matrix)\n"
         "  dynaddr convert  --in DIR --out DIR [--to csv|binary]\n"
@@ -106,9 +118,9 @@ int usage() {
         "observability (any command):\n"
         "  --log-level off|error|warn|info|debug|trace   global log level\n"
         "  --log-module mod:level[,mod:level...]         per-module override\n"
-        "  --metrics-out FILE   write metrics (JSON; .csv extension -> CSV)\n"
+        "  --metrics-out FILE   write metrics (JSON)\n"
         "  --trace-out FILE     write Chrome trace_event JSON (Perfetto)\n"
-        "  --series-out FILE    record a metrics time series (JSON; .csv -> CSV)\n"
+        "  --series-out FILE    record a metrics time series (JSON)\n"
         "  --series-interval S  series cadence in seconds (default 60;\n"
         "                       simulated seconds inside a simulation)\n"
         "  --series-capacity N  series ring capacity in samples (default 8192)\n"
@@ -373,53 +385,32 @@ core::PipelineConfig pipeline_config(
     return config;
 }
 
-bool wants(const std::string& list, const std::string& item) {
-    if (list == "all") return true;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
+/// The sections a --report list names, in print order; "all" selects
+/// every section. Throws on a name no section has.
+std::vector<const core::ReportSection*> selected_sections(const std::string& list) {
+    std::set<std::string> names;
+    for (std::size_t pos = 0; pos <= list.size();) {
         auto comma = list.find(',', pos);
         if (comma == std::string::npos) comma = list.size();
-        if (list.substr(pos, comma - pos) == item) return true;
+        const std::string name = list.substr(pos, comma - pos);
+        if (name != "all" && core::find_report_section(name) == nullptr)
+            throw Error("unknown --report section '" + name + "' (valid: " +
+                        section_names() + ")");
+        names.insert(name);
         pos = comma + 1;
     }
-    return false;
+    std::vector<const core::ReportSection*> selected;
+    for (const auto& section : core::report_sections())
+        if (names.contains("all") || names.contains(std::string(section.name)))
+            selected.push_back(&section);
+    return selected;
 }
 
 void print_reports(const core::AnalysisResults& results,
                    const bgp::PrefixTable& table, const bgp::AsRegistry& registry,
-                   const std::string& report_list) {
-    if (wants(report_list, "summary"))
-        std::cout << core::render_summary(results) << "\n";
-    if (wants(report_list, "table2"))
-        std::cout << "Probe filtering (Table 2):\n"
-                  << core::render_table2(results.filter) << "\n";
-    if (wants(report_list, "table5"))
-        std::cout << "Periodic renumbering (Table 5):\n"
-                  << core::render_table5(results.periodicity) << "\n";
-    if (wants(report_list, "table6"))
-        std::cout << "Outage renumbering (Table 6):\n"
-                  << core::render_table6(results.cond_prob) << "\n";
-    if (wants(report_list, "table7"))
-        std::cout << "Prefix changes (Table 7):\n"
-                  << core::render_table7(results.prefix_changes) << "\n";
-    if (wants(report_list, "causes")) {
-        const auto attribution =
-            core::attribute_changes(results, table, registry);
-        core::record_change_attribution(attribution);
-        std::cout << "Change-cause attribution:\n"
-                  << core::render_change_attribution(attribution) << "\n";
-    }
-    if (wants(report_list, "admin")) {
-        std::cout << "Administrative renumbering events: "
-                  << results.admin_events.size() << "\n";
-        for (const auto& event : results.admin_events)
-            std::cout << "  AS" << event.asn << " retired "
-                      << event.retired_prefix.to_string() << " around "
-                      << event.last_departure.to_string().substr(0, 10) << " ("
-                      << event.probes_moved << " probes -> "
-                      << event.destination_prefix.to_string() << ")\n";
-        std::cout << "\n";
-    }
+                   const std::vector<const core::ReportSection*>& sections) {
+    for (const auto* section : sections)
+        std::cout << section->render(results, table, registry);
 }
 
 int cmd_simulate(const std::map<std::string, std::string>& flags) {
@@ -501,8 +492,8 @@ int cmd_analyze(const std::map<std::string, std::string>& flags) {
     const auto data_it = flags.find("data");
     if (data_it == flags.end()) return usage();
     const fs::path dir(data_it->second);
-    const std::string report_list =
-        flags.contains("report") ? flags.at("report") : std::string("all");
+    const auto sections = selected_sections(
+        flags.contains("report") ? flags.at("report") : std::string("all"));
 
     const auto table = load_context_table(dir);
     const auto registry = load_context_registry(dir);
@@ -527,7 +518,7 @@ int cmd_analyze(const std::map<std::string, std::string>& flags) {
         results = core::AnalysisPipeline(pipeline_config(flags))
                       .run(atlas::read_bundle(dir.string()), table, registry);
     }
-    print_reports(results, table, registry, report_list);
+    print_reports(results, table, registry, sections);
     if (auto it = flags.find("audit"); it != flags.end())
         print_audit(results, table, registry, it->second);
     return 0;
@@ -816,7 +807,8 @@ int cmd_demo(const std::map<std::string, std::string>& flags) {
     core::AnalysisPipeline pipeline(pipeline_config(flags));
     const auto results = pipeline.run(scenario.bundle, scenario.prefix_table,
                                       scenario.registry, config.window);
-    print_reports(results, scenario.prefix_table, scenario.registry, "all");
+    print_reports(results, scenario.prefix_table, scenario.registry,
+                  selected_sections("all"));
     return 0;
 }
 
