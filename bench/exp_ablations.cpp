@@ -88,22 +88,30 @@ void ablation_kroot_thinning() {
               << "x.\n";
 }
 
-void ablation_threshold_sweep() {
+/// A2 and A3 both read the unmodified paper preset; `paper` is that world
+/// analysed with the default PipelineConfig.
+void ablation_threshold_sweep(const isp::ScenarioConfig& config,
+                              const Experiment& paper) {
     std::cout << "\nA2 — periodic-probe threshold sweep\n";
-    auto config = isp::presets::paper_scenario();
-    const auto scenario = isp::run_scenario(config);
     std::vector<std::vector<std::string>> rows;
-    for (double threshold : {0.10, 0.25, 0.50}) {
-        core::PipelineConfig pipeline_config;
-        pipeline_config.periodicity.probe_threshold = threshold;
-        core::AnalysisPipeline pipeline(pipeline_config);
-        const auto results = pipeline.run(scenario.bundle, scenario.prefix_table,
-                                          scenario.registry, config.window);
+    auto add_row = [&rows](double threshold, const core::AnalysisResults& results) {
         int periodic = 0;
         for (const auto& probe : results.periodicity.probes)
             if (probe.period_hours) ++periodic;
         rows.push_back({core::fmt(threshold, 2), std::to_string(periodic),
                         std::to_string(results.periodicity.as_rows.size())});
+    };
+    for (double threshold : {0.10, 0.25, 0.50}) {
+        core::PipelineConfig pipeline_config;
+        if (threshold == pipeline_config.periodicity.probe_threshold) {
+            add_row(threshold, paper.results);
+            continue;
+        }
+        pipeline_config.periodicity.probe_threshold = threshold;
+        add_row(threshold, core::AnalysisPipeline(pipeline_config)
+                               .run(paper.scenario.bundle,
+                                    paper.scenario.prefix_table,
+                                    paper.scenario.registry, config.window));
     }
     std::cout << chart::render_table({"Threshold", "Periodic probes", "Table-5 rows"},
                                      rows);
@@ -112,15 +120,11 @@ void ablation_threshold_sweep() {
                  "probes (outage-truncated tenures).\n";
 }
 
-void ablation_quantization() {
+void ablation_quantization(const Experiment& paper) {
     std::cout << "\nA3 — duration quantization for mode detection\n";
     // Raw 23.5-23.8 h tenures (period minus the reconnect gap) only form a
     // 24 h mode after quantization; compare mode mass with and without.
-    auto config = isp::presets::paper_scenario();
-    const auto scenario = isp::run_scenario(config);
-    core::AnalysisPipeline pipeline;
-    const auto results = pipeline.run(scenario.bundle, scenario.prefix_table,
-                                      scenario.registry, config.window);
+    const auto& results = paper.results;
     // Quantized mass at 24 h for DTAG vs the raw (unquantized) exact-value
     // mass.
     core::TotalTimeFraction quantized;
@@ -280,8 +284,10 @@ void ablation_planted_admin() {
 int main() {
     std::cout << "Ablations — design-choice sensitivity\n";
     ablation_kroot_thinning();
-    ablation_threshold_sweep();
-    ablation_quantization();
+    const auto paper_config = isp::presets::paper_scenario();
+    const Experiment paper = run_experiment(paper_config);
+    ablation_threshold_sweep(paper_config, paper);
+    ablation_quantization(paper);
     ablation_sticky_pools();
     ablation_lease_vs_tenure();
     ablation_planted_admin();

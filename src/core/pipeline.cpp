@@ -46,7 +46,6 @@ AnalysisResults AnalysisPipeline::run(
         throw Error("empty connection log");
     StreamingPipeline::Options options;
     options.config = config_;
-    options.keep_analyzable_logs = true;
     StreamingPipeline streaming(table, registry, options);
     streaming.open(window);
     streaming.feed_bundle(bundle);

@@ -279,7 +279,6 @@ struct StreamingPipeline::Impl {
             }
         }
 
-        if (!options.keep_analyzable_logs) out.filter.analyzable.clear();
         return out;
     }
 

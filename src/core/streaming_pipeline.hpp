@@ -40,11 +40,6 @@ class StreamingPipeline {
 public:
     struct Options {
         PipelineConfig config;
-        /// Keep cleaned per-probe logs in results.filter.analyzable. The
-        /// batch adapter needs them (the reference results carry them);
-        /// pure streaming consumers turn this off, dropping the one
-        /// O(records) component of AnalysisResults.
-        bool keep_analyzable_logs = true;
         /// Sealed probes queued before a parallel finalize flush. The
         /// batch is the unit handed to the thread pool; results still
         /// merge in probe order.

@@ -5,9 +5,6 @@
 #include <cstdio>
 
 #include "netcore/error.hpp"
-#include "netcore/obs/log.hpp"
-
-DYNADDR_LOG_MODULE(chart);
 
 namespace dynaddr::chart {
 
@@ -31,10 +28,7 @@ std::string format_value(double v) {
 
 std::string render_cdf_chart(const std::vector<Series>& series,
                              const ChartOptions& options) {
-    if (series.empty()) {
-        DYNADDR_LOG(Warn, chart, "CDF chart requested with no series");
-        return "(no series)\n";
-    }
+    if (series.empty()) return "(no series)\n";
     const int width = std::max(options.width, 10);
     const int height = std::max(options.height, 4);
 
@@ -123,10 +117,7 @@ std::string render_cdf_chart(const std::vector<Series>& series,
 
 std::string render_bar_chart(const std::vector<std::pair<std::string, double>>& bars,
                              int width, double max_value) {
-    if (bars.empty()) {
-        DYNADDR_LOG(Warn, chart, "bar chart requested with no data");
-        return "(no data)\n";
-    }
+    if (bars.empty()) return "(no data)\n";
     std::size_t label_width = 0;
     double peak = max_value;
     for (const auto& [label, value] : bars) {

@@ -1,7 +1,7 @@
 #pragma once
 
 // Memory accounting: the capacity half of the observability layer. Every
-// owning subsystem (timer-wheel slabs, pool bitmaps, lease tables,
+// owning subsystem (event-queue slab and heap, pool bitmaps, lease tables,
 // DIR-24-8 tables, streaming-pipeline buffers, DAB2 writer blocks,
 // flight-recorder rings) registers a MemSource and *publishes* its byte
 // and item figures into it at its own mutation points.

@@ -7,10 +7,10 @@
 // call site, typically during static initialization:
 //
 //     namespace { struct M {
-//         obs::Counter& fired = obs::counter("sim.wheel.fired");
+//         obs::Counter& granted = obs::counter("lease.granted");
 //     } metrics; }
 //     ...
-//     metrics.fired.inc();
+//     metrics.granted.inc();
 //
 // Snapshots are value copies usable for before/after diffing; JSON
 // export orders names lexicographically so output is deterministic.

@@ -23,24 +23,24 @@ struct EventId {
 
 /// A time-ordered queue of callbacks — the simulation's event engine.
 ///
-/// Implementation: a three-level hierarchical timer wheel (256 buckets per
-/// level at 1 s / 256 s / 65536 s granularity, covering ~194 days from the
-/// current cursor) backed by a 4-ary min-heap for far-future events.
-/// Scheduling and cancellation are O(1); finding the next event is a
-/// bitmap scan plus amortised cascading. Events at equal times fire in
-/// scheduling order (FIFO, via per-event sequence numbers), which keeps
-/// runs deterministic. Cancellation is O(1) by id: the event is
-/// tombstoned in place and reclaimed lazily when the wheel reaches it.
+/// Implementation: one 4-ary min-heap of `(when, seq, slot)` entries over
+/// a slab of events. Scheduling and popping are O(log n); cancellation is
+/// O(1) by id: the event is tombstoned in place and its heap entry is
+/// dropped, and the slot freed, when it reaches the top. Events at equal
+/// times fire in scheduling order (FIFO, via per-event sequence numbers),
+/// which keeps runs deterministic.
 ///
-/// Periodic events (`schedule_every`) fire on a fixed cadence and
-/// reschedule in place — one slab slot and one callback for the lifetime
-/// of the recurrence, no per-firing allocation. Their id stays valid
-/// across firings; cancel() stops the recurrence.
+/// Periodic events (`schedule_every`) fire on a fixed cadence and re-arm
+/// in place — one slab slot and one callback for the lifetime of the
+/// recurrence, no per-firing allocation. Each re-arm pushes a new heap
+/// entry with a fresh sequence number, exactly as an explicit
+/// re-schedule would. Their id stays valid across firings; cancel() stops
+/// the recurrence.
 class EventQueue {
 public:
     using Callback = InlineCallback;
 
-    EventQueue();
+    EventQueue() = default;
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
 
@@ -55,13 +55,12 @@ public:
                            Callback callback);
 
     /// Removes a pending event in O(1) (lazy tombstone; storage is
-    /// reclaimed when the wheel reaches it). Returns false when the event
+    /// reclaimed when the heap pops it). Returns false when the event
     /// already fired or was cancelled.
     bool cancel(EventId id);
 
-    /// Time of the earliest pending event. May advance internal cursors
-    /// (cascading wheel levels, pruning tombstones) but never observable
-    /// state.
+    /// Time of the earliest pending event. May drop cancelled heap tops
+    /// but never changes observable state.
     [[nodiscard]] std::optional<net::TimePoint> next_time();
 
     [[nodiscard]] bool empty() const { return size_ == 0; }
@@ -71,30 +70,21 @@ public:
     bool run_next();
 
 private:
-    static constexpr int kLevels = 3;
-    static constexpr int kSlotBits = 8;
-    static constexpr std::uint32_t kSlotsPerLevel = 1u << kSlotBits;
-    static constexpr std::uint32_t kSlotMask = kSlotsPerLevel - 1;
-    /// Horizon of the wheel: events further out live in the overflow heap.
-    static constexpr std::int64_t kWheelSpan = std::int64_t(1)
-                                               << (kSlotBits * kLevels);
     static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
     enum class State : std::uint8_t { Free, Pending, Firing, Cancelled };
 
     struct Event {
-        std::int64_t when = 0;     ///< absolute fire time, unix seconds
-        std::uint64_t seq = 0;     ///< FIFO tiebreak at equal times
         std::int64_t period = 0;   ///< 0 = one-shot
         std::uint32_t gen = 1;     ///< bumped on slot reuse
-        std::uint32_t next = kNil; ///< bucket chain / free-list link
+        std::uint32_t next_free = kNil;
         State state = State::Free;
         InlineCallback cb;
     };
 
     struct HeapEntry {
-        std::int64_t when;
-        std::uint64_t seq;
+        std::int64_t when;     ///< absolute fire time, unix seconds
+        std::uint64_t seq;     ///< FIFO tiebreak at equal times
         std::uint32_t slot;
         [[nodiscard]] bool before(const HeapEntry& o) const {
             return when != o.when ? when < o.when : seq < o.seq;
@@ -104,50 +94,22 @@ private:
     EventId schedule_impl(std::int64_t when, std::int64_t period, Callback cb);
     std::uint32_t alloc_slot();
     void free_slot(std::uint32_t slot);
-    /// Places a pending slot into the wheel, ready list or heap.
-    void place(std::uint32_t slot);
-    void ready_insert(std::uint32_t slot);
-    void bucket_append(int level, std::uint32_t index, std::uint32_t slot);
-    /// Detaches a level-0 bucket into ready_, sorted by (when, seq).
-    void detach_into_ready(std::uint32_t index);
-    /// Redistributes an upper-level bucket to lower levels.
-    void cascade(int level, std::uint32_t index);
     void heap_push(HeapEntry entry);
     void heap_pop();
-    /// Moves heap events now inside the wheel horizon into the wheel and
-    /// drops cancelled heap tops.
-    void migrate_heap();
-    /// Index of the first occupied bucket at `level`, scanning rotated
-    /// from the cursor's position; -1 when the level is empty.
-    [[nodiscard]] int first_occupied(int level) const;
-    /// Ensures ready_ holds the earliest pending event at its front.
-    /// Returns its time, or nullopt when the queue is empty.
-    std::optional<std::int64_t> find_next();
+    /// Pops cancelled tops, freeing their slots. Returns false when no
+    /// pending event is left.
+    bool settle_top();
 
     std::vector<Event> slab_;
     std::uint32_t free_head_ = kNil;
-    std::vector<HeapEntry> heap_;
-
-    std::uint32_t bucket_head_[kLevels][kSlotsPerLevel];
-    std::uint32_t bucket_tail_[kLevels][kSlotsPerLevel];
-    std::uint64_t occupied_[kLevels][kSlotsPerLevel / 64] = {};
-
-    /// Detached current-second events, sorted by (when, seq); front at
-    /// ready_head_.
-    std::vector<std::uint32_t> ready_;
-    std::size_t ready_head_ = 0;
-
-    bool started_ = false;       ///< cursor_ is meaningful
-    std::int64_t cursor_ = 0;    ///< wheel position; <= every pending when
-    std::int64_t ready_second_ = 0;  ///< second last detached into ready_
-
+    std::vector<HeapEntry> heap_;  ///< pending and tombstoned events
     std::uint64_t next_seq_ = 0;
-    std::size_t size_ = 0;
+    std::size_t size_ = 0;         ///< pending events, tombstones excluded
 
-    /// Capacity accounting (mem.sim.event_queue): slab + overflow heap +
-    /// ready list, published through owner-side atomics. Amortized like
-    /// the pool's metrics flush so the schedule/fire hot path pays a
-    /// counter increment, not a publish, most of the time.
+    /// Capacity accounting (mem.sim.event_queue): slab + heap, published
+    /// through owner-side atomics. Amortized like the pool's metrics flush
+    /// so the schedule/fire hot path pays a counter increment, not a
+    /// publish, most of the time.
     void note_mem_op() {
         if ((++mem_ops_ & (kMemFlushOps - 1)) == 0) publish_mem();
     }

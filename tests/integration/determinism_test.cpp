@@ -1,7 +1,7 @@
-// Byte-level determinism of the simulator output. The timer-wheel event
-// engine must preserve the exact event interleaving of the original
-// ordered-map queue: two runs of any preset must serialize to identical
-// CSV bytes, at any thread count, on every dataset in the bundle.
+// Byte-level determinism of the simulator output. The heap event engine
+// must preserve the exact event interleaving of the original ordered-map
+// queue: two runs of any preset must serialize to identical CSV bytes, at
+// any thread count, on every dataset in the bundle.
 //
 // Observability must be a pure observer: enabling trace-level logging and
 // span collection must not perturb a single byte of the analysis output.

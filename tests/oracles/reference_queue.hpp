@@ -12,7 +12,7 @@ namespace dynaddr::sim {
 
 /// The original std::map-based event queue, kept ONLY as (a) the baseline
 /// for the BM_EventEngine benchmark comparison and (b) the naive oracle
-/// the property test checks the timer-wheel engine against. Do not use in
+/// the property test checks the heap engine against. Do not use in
 /// simulation code — it collapses under millions of timer events (two
 /// ordered maps plus a heap-allocated std::function per event).
 ///

@@ -1,12 +1,13 @@
-// Property tests for the timer-wheel event engine: random
-// schedule/cancel interleavings must produce exactly the firing order of
-// the naive std::map reference queue, across all wheel levels and the
-// overflow heap.
+// Property tests for the heap event engine: random schedule/cancel
+// interleavings, with and without scheduling from inside firing
+// callbacks, must produce exactly the firing order of the naive std::map
+// reference queue, at delays from the same second to beyond 194 days.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
@@ -35,11 +36,17 @@ struct Firing {
 /// ReferenceEventQueue with equal seeds compares the two engines
 /// operation-for-operation.
 ///
-/// Times are drawn across four magnitude bands so every wheel level plus
-/// the overflow heap participates: same-second, level-0 (<256 s), level-1
-/// (<65536 s), level-2 (<194 d) and heap (>194 d).
+/// Delays are drawn across five magnitude bands: same-second, <256 s,
+/// <65536 s, <194 d and beyond. With `reentrant`, some callbacks schedule
+/// a follow-up from inside the firing — in the same second, one second
+/// on, or at a band delay — and follow-ups may chain, as simulator
+/// handlers do. Those draws come from the same rng at firing time, so the
+/// engines stay in lockstep only while their firing orders agree.
 template <typename Queue>
-std::vector<Firing> run_script(std::uint64_t seed, int operations) {
+std::vector<Firing> run_script(std::uint64_t seed, int operations,
+                               bool reentrant = false) {
+    static constexpr std::int64_t kBands[] = {1, 256, 65536, 1 << 24,
+                                              std::int64_t(1) << 27};
     rng::Stream rng(seed);
     Queue queue;
     std::vector<Firing> firings;
@@ -47,22 +54,32 @@ std::vector<Firing> run_script(std::uint64_t seed, int operations) {
     std::int64_t low_water = 0;  // fire times are monotone; never schedule earlier
     int next_tag = 0;
 
+    auto band_delay = [&rng] {
+        const auto band = std::size_t(rng.uniform_int(0, 4));
+        return rng.uniform_int(0, kBands[band] - 1);
+    };
+    std::function<void(std::int64_t)> schedule_at = [&](std::int64_t when) {
+        const int tag = next_tag++;
+        live.emplace_back(
+            tag, queue.schedule(TimePoint{when}, [&, tag](TimePoint t) {
+                const std::int64_t now = t.unix_seconds();
+                firings.push_back({tag, now, now});
+                if (!reentrant) return;
+                const std::int64_t follow = rng.uniform_int(0, 9);
+                if (follow < 2) {
+                    schedule_at(now);
+                } else if (follow < 3) {
+                    schedule_at(now + 1);
+                } else if (follow < 4) {
+                    schedule_at(now + band_delay());
+                }
+            }));
+    };
+
     for (int op = 0; op < operations; ++op) {
         const std::int64_t kind = rng.uniform_int(0, 9);
         if (kind < 5) {  // schedule
-            static constexpr std::int64_t kBands[] = {1, 256, 65536, 1 << 24,
-                                                      std::int64_t(1) << 27};
-            const auto band = std::size_t(rng.uniform_int(0, 4));
-            const std::int64_t when =
-                low_water + rng.uniform_int(0, kBands[band] - 1);
-            const int tag = next_tag++;
-            live.emplace_back(
-                tag, queue.schedule(TimePoint{when}, [tag, &firings, &queue](
-                                                         TimePoint t) {
-                    firings.push_back(
-                        {tag, t.unix_seconds(), t.unix_seconds()});
-                    (void)queue;
-                }));
+            schedule_at(low_water + band_delay());
         } else if (kind < 7 && !live.empty()) {  // cancel a random live id
             const auto pick = std::size_t(
                 rng.uniform_int(0, std::int64_t(live.size()) - 1));
@@ -88,21 +105,32 @@ std::vector<Firing> run_script(std::uint64_t seed, int operations) {
 
 TEST(EventEngineProperty, MatchesReferenceQueueOverRandomInterleavings) {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        const auto wheel = run_script<EventQueue>(seed, 400);
+        const auto heap = run_script<EventQueue>(seed, 400);
         const auto reference = run_script<ReferenceEventQueue>(seed, 400);
-        ASSERT_EQ(wheel, reference) << "diverged at seed " << seed;
+        ASSERT_EQ(heap, reference) << "diverged at seed " << seed;
     }
 }
 
+TEST(EventEngineProperty, ReentrantSchedulingMatchesReference) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        const auto heap = run_script<EventQueue>(seed, 400, true);
+        const auto reference = run_script<ReferenceEventQueue>(seed, 400, true);
+        ASSERT_EQ(heap, reference) << "diverged at seed " << seed;
+    }
+    const auto heap = run_script<EventQueue>(99, 6000, true);
+    const auto reference = run_script<ReferenceEventQueue>(99, 6000, true);
+    ASSERT_EQ(heap, reference);
+}
+
 TEST(EventEngineProperty, LargeSingleRunMatchesReference) {
-    const auto wheel = run_script<EventQueue>(99, 6000);
+    const auto heap = run_script<EventQueue>(99, 6000);
     const auto reference = run_script<ReferenceEventQueue>(99, 6000);
-    ASSERT_EQ(wheel, reference);
+    ASSERT_EQ(heap, reference);
 }
 
 TEST(EventEngineProperty, CancelOfFiredIdReturnsFalse) {
     // The O(1) tombstone cancel must still report false for ids that
-    // already fired — across every wheel level and the heap.
+    // already fired — at every delay band.
     static constexpr std::int64_t kDelays[] = {0, 7, 300, 70000, (1 << 24) + 5};
     EventQueue queue;
     std::vector<EventId> ids;

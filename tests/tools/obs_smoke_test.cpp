@@ -58,7 +58,7 @@ TEST_F(ObsSmoke, QuickPresetEmitsValidMetricsAndTrace) {
     const std::string metrics_text = read_file(metrics);
     ASSERT_FALSE(metrics_text.empty());
     EXPECT_TRUE(dynaddr::obs::json_valid(metrics_text));
-    // Pipeline stage counters, timer-wheel counters, and the Table 2
+    // Pipeline stage counters, event-engine counters, and the Table 2
     // funnel block must all be present.
     EXPECT_NE(metrics_text.find("\"pipeline.probes_in\""), std::string::npos);
     EXPECT_NE(metrics_text.find("\"sim.wheel.fired\""), std::string::npos);
@@ -144,7 +144,7 @@ TEST_F(ObsSmoke, ProfileOutWritesFoldedStacks) {
 TEST_F(ObsSmoke, TopSubcommandRendersLiveRun) {
     const fs::path run_stderr = dir_ / "run-stderr.txt";
     const fs::path done = dir_ / "run-done";
-    // --scale 800 stretches the quick preset to tens of seconds of wall
+    // --scale 800 stretches the quick preset to about ten seconds of wall
     // time, so the stats endpoint is comfortably alive for the poll.
     const std::string run_command =
         "( " + std::string(DYNADDR_CLI_PATH) +
@@ -260,6 +260,26 @@ TEST_F(ObsSmoke, UnknownReportSectionIsRejected) {
         << text.substr(0, 200);
     EXPECT_NE(text.find("(Figure 2):\n"), std::string::npos);
     EXPECT_EQ(text.find("Probe filtering (Table 2)"), std::string::npos);
+}
+
+TEST_F(ObsSmoke, EmptyChartSectionIsQuietOnStderr) {
+    // --scale turns k-root off, so the bundle has no outage data and the
+    // fig7_8 charts render their placeholder text. That is the report, not
+    // a fault: nothing may reach stderr.
+    const fs::path bundle = dir_ / "bundle";
+    const std::string cli = DYNADDR_CLI_PATH;
+    const std::string simulate = cli + " simulate --preset quick --scale 2 --out " +
+                                 bundle.string() + " > /dev/null 2>&1";
+    ASSERT_EQ(std::system(simulate.c_str()), 0) << simulate;
+
+    const fs::path stdout_path = dir_ / "stdout.txt";
+    const fs::path stderr_path = dir_ / "stderr.txt";
+    const std::string analyze = cli + " analyze --data " + bundle.string() +
+                                " --report fig7_8 > " + stdout_path.string() +
+                                " 2> " + stderr_path.string();
+    ASSERT_EQ(std::system(analyze.c_str()), 0) << analyze;
+    EXPECT_NE(read_file(stdout_path).find("(no series)"), std::string::npos);
+    EXPECT_EQ(read_file(stderr_path), "");
 }
 
 TEST_F(ObsSmoke, TerminateAlsoFlushesEmergencyMetrics) {
