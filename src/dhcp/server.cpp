@@ -1,7 +1,5 @@
 #include "dhcp/server.hpp"
 
-#include <algorithm>
-
 #include "netcore/error.hpp"
 #include "netcore/obs/log.hpp"
 #include "netcore/obs/metrics.hpp"
@@ -63,9 +61,8 @@ void Server::crash(bool amnesia) {
             sim::cause_note(lease.client, sim::CauseKind::ServerAmnesia,
                             sim::CauseSite::DhcpAmnesiaCrash, now);
             leases_.revoke(lease.client);
+            leases_.mark_absent(lease.client, now);
             pool_->release(lease.client);
-            hold_started_.erase(lease.client);
-            absent_since_[lease.client] = now;
         }
         DYNADDR_LOG(Warn, dhcp, "server crashed with lease-state amnesia");
     } else {
@@ -97,10 +94,8 @@ std::optional<Offer> Server::handle_discover(pool::ClientId client) {
                         sim::CauseSite::DhcpRetiredPrefix, sim_->now());
         evict(client);
     }
-    std::optional<net::TimePoint> absent;
-    if (auto it = absent_since_.find(client); it != absent_since_.end())
-        absent = it->second;
-    auto addr = pool_->allocate(client, sim_->now(), std::nullopt, absent);
+    auto addr = pool_->allocate(client, sim_->now(), std::nullopt,
+                                leases_.absent_since(client));
     if (!addr) {
         DYNADDR_LOG(Warn, dhcp, "no address to offer client ", client);
         return std::nullopt;
@@ -137,17 +132,15 @@ RequestResult Server::handle_request(pool::ClientId client,
     if (auto held = pool_->address_of(client); held && *held == requested)
         return grant(client, requested);
     // INIT-REBOOT for an address the pool can still give this client.
-    std::optional<net::TimePoint> absent;
-    if (auto it = absent_since_.find(client); it != absent_since_.end())
-        absent = it->second;
-    auto addr = pool_->allocate(client, sim_->now(), requested, absent);
+    auto addr = pool_->allocate(client, sim_->now(), requested,
+                                leases_.absent_since(client));
     if (addr && *addr == requested) return grant(client, requested);
     // Couldn't honour the request; a real server NAKs and the client
     // restarts from INIT. If we allocated some other address, return it to
     // the pool so INIT sees a clean slate.
     if (addr) {
         pool_->release(client);
-        absent_since_[client] = sim_->now();
+        leases_.mark_absent(client, sim_->now());
     }
     dhcp_metrics().nak.inc();
     DYNADDR_LOG(Debug, dhcp, "nak client ", client, " requesting ",
@@ -168,10 +161,9 @@ RequestResult Server::handle_renew(pool::ClientId client, net::IPv4Address addr)
         return evict(client);
     }
     if (config_.max_address_age) {
-        const auto started_it = hold_started_.find(client);
-        if (started_it != hold_started_.end() &&
-            sim_->now() + config_.lease_duration - started_it->second >
-                jittered_max_age(client, started_it->second)) {
+        const net::TimePoint started = *leases_.held_since(client);
+        if (sim_->now() + config_.lease_duration - started >
+            jittered_max_age(client, started)) {
             // Administrative age cap: refuse to extend past it.
             sim::cause_note(client, sim::CauseKind::MaxAgeEviction,
                             sim::CauseSite::DhcpMaxAge, sim_->now());
@@ -187,10 +179,9 @@ RequestResult Server::evict(pool::ClientId client) {
     dhcp_metrics().evicted.inc();
     DYNADDR_LOG(Debug, dhcp, "evict client ", client);
     leases_.revoke(client);
+    leases_.mark_absent(client, sim_->now());
     pool_->release(client);
     pool_->forget_binding(client);
-    hold_started_.erase(client);
-    absent_since_[client] = sim_->now();
     return RequestResult{};
 }
 
@@ -199,9 +190,8 @@ void Server::handle_release(pool::ClientId client) {
     dhcp_metrics().released.inc();
     expire_leases();
     if (leases_.revoke(client)) {
+        leases_.mark_absent(client, sim_->now());
         pool_->release(client);
-        hold_started_.erase(client);
-        absent_since_[client] = sim_->now();
     }
 }
 
@@ -213,8 +203,6 @@ RequestResult Server::grant(pool::ClientId client, net::IPv4Address addr) {
     const net::TimePoint now = sim_->now();
     pool::Lease lease{client, addr, now, now + config_.lease_duration};
     leases_.grant(lease);
-    hold_started_.try_emplace(client, now);
-    absent_since_.erase(client);
     schedule_expiry_sweep();
     dhcp_metrics().ack.inc();
     return RequestResult{true, addr, lease.granted, lease.expiry};
@@ -224,29 +212,23 @@ void Server::expire_leases() {
     for (const auto& lease : leases_.expire_until(sim_->now())) {
         dhcp_metrics().expired.inc();
         pool_->release(lease.client);
-        hold_started_.erase(lease.client);
-        absent_since_[lease.client] = lease.expiry;
     }
 }
 
 void Server::schedule_expiry_sweep() {
-    // One pending sweep at (or quantum-rounded just after) the earliest
-    // expiry keeps pool state current even when no client interaction
-    // happens for a long time. The sweep is batched: grants only touch
-    // the timer when their expiry precedes the pending sweep, instead of
-    // cancelling and rescheduling one event per lease.
+    // One pending sweep at the earliest expiry keeps pool state current
+    // even when no client interaction happens for a long time. The sweep
+    // is batched: grants only touch the timer when their expiry precedes
+    // the pending sweep, instead of cancelling and rescheduling one event
+    // per lease.
     auto next = leases_.next_expiry();
     if (!next) return;
-    const std::int64_t quantum = std::max<std::int64_t>(
-        1, config_.expiry_sweep_quantum.count());
-    const net::TimePoint target{
-        (next->unix_seconds() + quantum - 1) / quantum * quantum};
     if (sweep_event_) {
-        if (sweep_at_ <= target) return;  // pending sweep is early enough
+        if (sweep_at_ <= *next) return;  // pending sweep is early enough
         sim_->cancel(*sweep_event_);
     }
-    sweep_at_ = target;
-    sweep_event_ = sim_->at(target, [this](net::TimePoint) {
+    sweep_at_ = *next;
+    sweep_event_ = sim_->at(*next, [this](net::TimePoint) {
         sweep_event_.reset();
         expire_leases();
         schedule_expiry_sweep();

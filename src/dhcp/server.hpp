@@ -2,7 +2,6 @@
 
 #include <functional>
 #include <optional>
-#include <unordered_map>
 
 #include "dhcp/messages.hpp"
 #include "pool/address_pool.hpp"
@@ -24,12 +23,6 @@ struct ServerConfig {
     /// sharp periodic mode — the North American pattern in the paper's
     /// Figure 1.
     double max_age_jitter = 0.0;
-    /// Expiry sweeps are quantized to this granularity: a pending sweep is
-    /// only rescheduled when a new lease's (rounded-up) expiry precedes
-    /// it, so a burst of grants costs one timer event instead of one
-    /// cancel+reschedule per grant. All simulation times are whole
-    /// seconds, so the 1 s default batches without delaying any expiry.
-    net::Duration expiry_sweep_quantum = net::Duration::seconds(1);
 };
 
 /// A single-subnet DHCP server backed by an AddressPool.
@@ -100,12 +93,9 @@ private:
     ServerConfig config_;
     pool::AddressPool* pool_;
     sim::Simulation* sim_;
+    /// Every client's state: its lease, when its current hold began (the
+    /// administrative age cap) and when it last left (the churn model).
     pool::LeaseDb leases_;
-    /// When each client's current continuous hold of an address began;
-    /// used for the administrative age cap.
-    std::unordered_map<pool::ClientId, net::TimePoint> hold_started_;
-    /// When a client's lease last expired/released, for the churn model.
-    std::unordered_map<pool::ClientId, net::TimePoint> absent_since_;
     std::optional<sim::EventId> sweep_event_;
     /// Fire time of the pending sweep event (valid while sweep_event_ is
     /// set); the batching comparison point.

@@ -183,8 +183,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
             if (cohort.protocol == atlas::CpeConfig::Wan::Dhcp) {
                 world.dhcp_servers.emplace_back(
                     dhcp::ServerConfig{cohort.dhcp_lease, cohort.dhcp_max_age,
-                                       cohort.dhcp_max_age_jitter,
-                                       cohort.dhcp_sweep_quantum},
+                                       cohort.dhcp_max_age_jitter},
                     pool, world.sim);
                 backend.dhcp = &world.dhcp_servers.back();
             } else {
@@ -492,16 +491,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
                  atlas::SpecialBehaviour::TestingAddressThenStable, {});
 
     // -- RADIUS ground truth ------------------------------------------------
-    {
-        std::size_t server_index = 0;
-        for (std::size_t i = 0; i < config.isps.size(); ++i) {
-            (void)server_index;
-            for (const auto& backend : backends[i]) {
-                if (backend.radius == nullptr) continue;
-                auto& sink = result.radius_records[config.isps[i].asn];
-                const auto& records = backend.radius->records();
-                sink.insert(sink.end(), records.begin(), records.end());
-            }
+    for (std::size_t i = 0; i < config.isps.size(); ++i) {
+        for (const auto& backend : backends[i]) {
+            if (backend.radius == nullptr) continue;
+            auto& sink = result.radius_records[config.isps[i].asn];
+            const auto& records = backend.radius->records();
+            sink.insert(sink.end(), records.begin(), records.end());
         }
     }
 

@@ -45,9 +45,6 @@ struct Cohort {
     /// yields the weeks-scale, mode-free renumbering of stable ISPs.
     std::optional<net::Duration> dhcp_max_age;
     double dhcp_max_age_jitter = 0.0;
-    /// Lease-expiry sweep granularity (see ServerConfig::expiry_sweep_quantum).
-    /// The 1 s default is exact for whole-second simulation time.
-    net::Duration dhcp_sweep_quantum = net::Duration::seconds(1);
 
     // -- hardware & environment --------------------------------------------
     /// Fraction of probes that are v1/v2 hardware (excluded from the

@@ -1,9 +1,11 @@
 #include "pool/lease_db.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "netcore/error.hpp"
 #include "netcore/obs/metrics.hpp"
+#include "netcore/rng.hpp"
 
 namespace dynaddr::pool {
 
@@ -23,11 +25,9 @@ LeaseMetrics& lease_metrics() {
 
 constexpr std::size_t kInitialCapacity = 16;  // power of two
 
-std::uint64_t splitmix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
+/// A key's home slot in a table of mask + 1 slots.
+std::size_t home_slot(std::uint64_t key, std::size_t mask) {
+    return rng::splitmix64(key) & mask;
 }
 
 }  // namespace
@@ -44,52 +44,54 @@ void LeaseDb::sync_gauge() {
                                std::int64_t(reported_active_));
     reported_active_ = size();
     mem_.report(clients_.capacity() * sizeof(ClientSlot) +
-                    addrs_.capacity() * sizeof(AddrSlot) +
-                    heap_.capacity() * sizeof(HeapEntry),
+                    addrs_.capacity() * sizeof(AddrSlot),
                 live_);
 }
 
-const LeaseDb::ClientSlot* LeaseDb::client_slot(ClientId client) const {
+std::uint32_t LeaseDb::client_index(ClientId client) const {
     const std::size_t mask = clients_.size() - 1;
-    for (std::size_t i = splitmix64(client) & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = home_slot(client, mask);; i = (i + 1) & mask) {
         const ClientSlot& slot = clients_[i];
-        if (slot.state == SlotState::Empty) return nullptr;
-        if (slot.state == SlotState::Occupied && slot.lease.client == client)
-            return &slot;
+        if (!slot.used) return kNil;
+        if (slot.lease.client == client) return std::uint32_t(i);
     }
 }
 
-LeaseDb::ClientSlot& LeaseDb::client_slot_for_insert(ClientId client) {
+std::uint32_t LeaseDb::client_record(ClientId client) {
+    if ((client_used_ + 1) * 4 > clients_.size() * 3) grow_clients();
     const std::size_t mask = clients_.size() - 1;
-    ClientSlot* tombstone = nullptr;
-    for (std::size_t i = splitmix64(client) & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = home_slot(client, mask);; i = (i + 1) & mask) {
         ClientSlot& slot = clients_[i];
-        if (slot.state == SlotState::Occupied && slot.lease.client == client)
-            return slot;
-        if (slot.state == SlotState::Tombstone && !tombstone) tombstone = &slot;
-        if (slot.state == SlotState::Empty) {
-            if (tombstone) return *tombstone;
+        if (!slot.used) {
+            slot.used = true;
+            slot.lease.client = client;
             ++client_used_;
-            return slot;
+            return std::uint32_t(i);
         }
+        if (slot.lease.client == client) return std::uint32_t(i);
     }
 }
 
-void LeaseDb::client_slot_erase(ClientId client) {
-    const std::size_t mask = clients_.size() - 1;
-    for (std::size_t i = splitmix64(client) & mask;; i = (i + 1) & mask) {
-        ClientSlot& slot = clients_[i];
-        if (slot.state == SlotState::Empty) return;
-        if (slot.state == SlotState::Occupied && slot.lease.client == client) {
-            slot.state = SlotState::Tombstone;
-            return;
-        }
+void LeaseDb::grow_clients() {
+    std::vector<ClientSlot> old(clients_.size() * 2);
+    old.swap(clients_);
+    const std::uint32_t old_head = head_;
+    head_ = tail_ = kNil;
+    client_used_ = 0;
+    for (const ClientSlot& slot : old)
+        if (slot.used && !slot.leased)
+            clients_[client_record(slot.lease.client)] = slot;
+    // Leased records in list order, so the grant order survives.
+    for (std::uint32_t i = old_head; i != kNil; i = old[i].next) {
+        const std::uint32_t at = client_record(old[i].lease.client);
+        clients_[at] = old[i];
+        link_tail(at);
     }
 }
 
 const LeaseDb::AddrSlot* LeaseDb::addr_slot(net::IPv4Address addr) const {
     const std::size_t mask = addrs_.size() - 1;
-    for (std::size_t i = splitmix64(addr.value()) & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = home_slot(addr.value(), mask);; i = (i + 1) & mask) {
         const AddrSlot& slot = addrs_[i];
         if (slot.state == SlotState::Empty) return nullptr;
         if (slot.state == SlotState::Occupied && slot.addr == addr) return &slot;
@@ -99,7 +101,7 @@ const LeaseDb::AddrSlot* LeaseDb::addr_slot(net::IPv4Address addr) const {
 LeaseDb::AddrSlot& LeaseDb::addr_slot_for_insert(net::IPv4Address addr) {
     const std::size_t mask = addrs_.size() - 1;
     AddrSlot* tombstone = nullptr;
-    for (std::size_t i = splitmix64(addr.value()) & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = home_slot(addr.value(), mask);; i = (i + 1) & mask) {
         AddrSlot& slot = addrs_[i];
         if (slot.state == SlotState::Occupied && slot.addr == addr) return slot;
         if (slot.state == SlotState::Tombstone && !tombstone) tombstone = &slot;
@@ -113,7 +115,7 @@ LeaseDb::AddrSlot& LeaseDb::addr_slot_for_insert(net::IPv4Address addr) {
 
 void LeaseDb::addr_slot_erase(net::IPv4Address addr) {
     const std::size_t mask = addrs_.size() - 1;
-    for (std::size_t i = splitmix64(addr.value()) & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = home_slot(addr.value(), mask);; i = (i + 1) & mask) {
         AddrSlot& slot = addrs_[i];
         if (slot.state == SlotState::Empty) return;
         if (slot.state == SlotState::Occupied && slot.addr == addr) {
@@ -123,60 +125,37 @@ void LeaseDb::addr_slot_erase(net::IPv4Address addr) {
     }
 }
 
-void LeaseDb::maybe_grow() {
-    // Keep load (occupied + tombstones) under 3/4; rebuilding drops
+void LeaseDb::rehash_addrs() {
+    // Keeps load (occupied + tombstones) under 3/4: rebuilding drops
     // tombstones, and doubles only when genuinely full.
-    if ((client_used_ + 1) * 4 <= clients_.size() * 3 &&
-        (addr_used_ + 1) * 4 <= addrs_.size() * 3)
-        return;
-    const std::size_t client_cap =
-        (live_ + 1) * 4 > clients_.size() * 3 ? clients_.size() * 2 : clients_.size();
-    const std::size_t addr_cap =
-        (live_ + 1) * 4 > addrs_.size() * 3 ? addrs_.size() * 2 : addrs_.size();
-    std::vector<ClientSlot> old_clients(client_cap);
-    std::vector<AddrSlot> old_addrs(addr_cap);
-    old_clients.swap(clients_);
-    old_addrs.swap(addrs_);
-    client_used_ = 0;
+    std::vector<AddrSlot> old(
+        (live_ + 1) * 4 > addrs_.size() * 3 ? addrs_.size() * 2 : addrs_.size());
+    old.swap(addrs_);
     addr_used_ = 0;
-    for (ClientSlot& slot : old_clients) {
-        if (slot.state != SlotState::Occupied) continue;
-        ClientSlot& fresh = client_slot_for_insert(slot.lease.client);
-        fresh = std::move(slot);
-    }
-    for (AddrSlot& slot : old_addrs) {
-        if (slot.state != SlotState::Occupied) continue;
-        AddrSlot& fresh = addr_slot_for_insert(slot.addr);
-        fresh = slot;
-    }
+    for (const AddrSlot& slot : old)
+        if (slot.state == SlotState::Occupied) addr_slot_for_insert(slot.addr) = slot;
 }
 
-void LeaseDb::heap_push(HeapEntry entry) {
-    heap_.push_back(entry);
-    std::push_heap(heap_.begin(), heap_.end(),
-                   [](const HeapEntry& a, const HeapEntry& b) { return a.after(b); });
+void LeaseDb::link_tail(std::uint32_t index) {
+    ClientSlot& slot = clients_[index];
+    slot.prev = tail_;
+    slot.next = kNil;
+    (tail_ == kNil ? head_ : clients_[tail_].next) = index;
+    tail_ = index;
 }
 
-void LeaseDb::heap_settle() const {
-    const auto after = [](const HeapEntry& a, const HeapEntry& b) {
-        return a.after(b);
-    };
-    while (!heap_.empty()) {
-        const HeapEntry& top = heap_.front();
-        const ClientSlot* slot = client_slot(top.client);
-        if (slot && slot->seq == top.seq) break;  // live
-        std::pop_heap(heap_.begin(), heap_.end(), after);
-        heap_.pop_back();
-    }
-    if (heap_.size() > 4 * live_ + 64) {
-        // Mostly stale: rebuild from the live records.
-        heap_.clear();
-        for (const ClientSlot& slot : clients_) {
-            if (slot.state != SlotState::Occupied) continue;
-            heap_.push_back({slot.lease.expiry, slot.seq, slot.lease.client});
-        }
-        std::make_heap(heap_.begin(), heap_.end(), after);
-    }
+void LeaseDb::unlink(std::uint32_t index) {
+    const ClientSlot& slot = clients_[index];
+    (slot.prev == kNil ? head_ : clients_[slot.prev].next) = slot.next;
+    (slot.next == kNil ? tail_ : clients_[slot.next].prev) = slot.prev;
+}
+
+void LeaseDb::drop_lease(std::uint32_t index) {
+    ClientSlot& slot = clients_[index];
+    unlink(index);
+    addr_slot_erase(slot.lease.address);
+    slot.leased = false;
+    --live_;
 }
 
 void LeaseDb::grant(const Lease& lease) {
@@ -184,43 +163,46 @@ void LeaseDb::grant(const Lease& lease) {
         taken && taken->client != lease.client)
         throw Error("address " + lease.address.to_string() +
                     " already leased to another client");
-    maybe_grow();
-    ClientSlot& slot = client_slot_for_insert(lease.client);
-    if (slot.state == SlotState::Occupied) {
-        // Refresh: drop the previous address mapping; the old heap entry
-        // goes stale with the new sequence number.
+    if (tail_ != kNil && lease.expiry < clients_[tail_].lease.expiry)
+        throw Error("lease for client " + std::to_string(lease.client) +
+                    " expires before the latest grant");
+    if ((addr_used_ + 1) * 4 > addrs_.size() * 3) rehash_addrs();
+    const std::uint32_t index = client_record(lease.client);
+    ClientSlot& slot = clients_[index];
+    if (slot.leased) {
+        // Refresh: drop the previous address mapping and list position.
+        unlink(index);
         addr_slot_erase(slot.lease.address);
     } else {
-        slot.state = SlotState::Occupied;
+        slot.leased = true;
+        slot.held_since = lease.granted;
         ++live_;
     }
     slot.lease = lease;
-    slot.seq = next_seq_++;
+    slot.absent = false;
+    link_tail(index);
     AddrSlot& addr = addr_slot_for_insert(lease.address);
     addr.state = SlotState::Occupied;
     addr.addr = lease.address;
     addr.client = lease.client;
-    heap_push({lease.expiry, slot.seq, lease.client});
     lease_metrics().granted.inc();
     sync_gauge();
 }
 
 std::optional<Lease> LeaseDb::revoke(ClientId client) {
-    const ClientSlot* slot = client_slot(client);
-    if (!slot) return std::nullopt;
-    Lease lease = slot->lease;
-    addr_slot_erase(lease.address);
-    client_slot_erase(client);
-    --live_;
+    const std::uint32_t index = client_index(client);
+    if (index == kNil || !clients_[index].leased) return std::nullopt;
+    const Lease lease = clients_[index].lease;
+    drop_lease(index);
     lease_metrics().revoked.inc();
     sync_gauge();
     return lease;
 }
 
 std::optional<Lease> LeaseDb::find(ClientId client) const {
-    const ClientSlot* slot = client_slot(client);
-    if (!slot) return std::nullopt;
-    return slot->lease;
+    const std::uint32_t index = client_index(client);
+    if (index == kNil || !clients_[index].leased) return std::nullopt;
+    return clients_[index].lease;
 }
 
 std::optional<Lease> LeaseDb::find_by_address(net::IPv4Address addr) const {
@@ -229,23 +211,33 @@ std::optional<Lease> LeaseDb::find_by_address(net::IPv4Address addr) const {
     return find(slot->client);
 }
 
+std::optional<net::TimePoint> LeaseDb::held_since(ClientId client) const {
+    const std::uint32_t index = client_index(client);
+    if (index == kNil || !clients_[index].leased) return std::nullopt;
+    return clients_[index].held_since;
+}
+
+std::optional<net::TimePoint> LeaseDb::absent_since(ClientId client) const {
+    const std::uint32_t index = client_index(client);
+    if (index == kNil || !clients_[index].absent) return std::nullopt;
+    return clients_[index].absent_since;
+}
+
+void LeaseDb::mark_absent(ClientId client, net::TimePoint t) {
+    ClientSlot& slot = clients_[client_record(client)];
+    slot.absent = true;
+    slot.absent_since = t;
+    sync_gauge();
+}
+
 std::vector<Lease> LeaseDb::expire_until(net::TimePoint now) {
     std::vector<Lease> expired;
-    const auto after = [](const HeapEntry& a, const HeapEntry& b) {
-        return a.after(b);
-    };
-    heap_settle();
-    while (!heap_.empty() && heap_.front().expiry <= now) {
-        const ClientId client = heap_.front().client;
-        std::pop_heap(heap_.begin(), heap_.end(), after);
-        heap_.pop_back();
-        // heap_settle guarantees the top entry is live.
-        const ClientSlot* slot = client_slot(client);
-        expired.push_back(slot->lease);
-        addr_slot_erase(slot->lease.address);
-        client_slot_erase(client);
-        --live_;
-        heap_settle();
+    while (head_ != kNil && clients_[head_].lease.expiry <= now) {
+        ClientSlot& slot = clients_[head_];
+        expired.push_back(slot.lease);
+        slot.absent = true;
+        slot.absent_since = slot.lease.expiry;
+        drop_lease(head_);
     }
     if (!expired.empty()) {
         lease_metrics().expired.inc(expired.size());
@@ -255,18 +247,15 @@ std::vector<Lease> LeaseDb::expire_until(net::TimePoint now) {
 }
 
 std::optional<net::TimePoint> LeaseDb::next_expiry() const {
-    heap_settle();
-    if (heap_.empty()) return std::nullopt;
-    return heap_.front().expiry;
+    if (head_ == kNil) return std::nullopt;
+    return clients_[head_].lease.expiry;
 }
 
 std::vector<Lease> LeaseDb::all() const {
     std::vector<Lease> leases;
     leases.reserve(live_);
-    for (const ClientSlot& slot : clients_) {
-        if (slot.state != SlotState::Occupied) continue;
-        leases.push_back(slot.lease);
-    }
+    for (const ClientSlot& slot : clients_)
+        if (slot.leased) leases.push_back(slot.lease);
     std::sort(leases.begin(), leases.end(),
               [](const Lease& a, const Lease& b) { return a.client < b.client; });
     return leases;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -155,16 +156,24 @@ void expect_same_lease(const std::optional<Lease>& a,
     EXPECT_EQ(a->expiry, b->expiry);
 }
 
+// Every lease runs a fixed time from a clock that never goes back, as in
+// the DHCP server. Two maps mirror the server's former
+// per-client maps (hold start and absence), which the db now keeps.
 TEST(LeaseDbDifferential, RandomOpsMatchReference) {
+    constexpr std::int64_t kLeaseSeconds = 3600;
     for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
         LeaseDb fast;
         ReferenceLeaseDb oracle;
+        std::map<ClientId, TimePoint> held_since;
+        std::map<ClientId, TimePoint> absent_since;
         rng::Stream driver(seed);
         std::int64_t now_s = 0;
         for (int step = 0; step < 6000; ++step) {
-            now_s += driver.uniform_int(0, 600);
+            // The clock stands still a quarter of the time, so many live
+            // leases share an expiry second.
+            if (!driver.bernoulli(0.25)) now_s += driver.uniform_int(1, 600);
             const auto client = ClientId(driver.uniform_int(1, 48));
-            switch (driver.uniform_int(0, 5)) {
+            switch (driver.uniform_int(0, 6)) {
                 case 0: case 1: case 2: {  // grant / refresh
                     Lease lease;
                     lease.client = client;
@@ -173,16 +182,18 @@ TEST(LeaseDbDifferential, RandomOpsMatchReference) {
                     lease.address = IPv4Address(std::uint32_t(
                         0x0A000000u + client));
                     lease.granted = TimePoint{now_s};
-                    lease.expiry =
-                        TimePoint{now_s + driver.uniform_int(60, 7200)};
+                    lease.expiry = TimePoint{now_s + kLeaseSeconds};
                     fast.grant(lease);
                     oracle.grant(lease);
+                    held_since.try_emplace(client, lease.granted);
+                    absent_since.erase(client);
                     break;
                 }
                 case 3: {
                     const auto a = fast.revoke(client);
                     const auto b = oracle.revoke(client);
                     expect_same_lease(a, b);
+                    held_since.erase(client);
                     break;
                 }
                 case 4: {  // batch expiry: same leases, same order
@@ -191,8 +202,11 @@ TEST(LeaseDbDifferential, RandomOpsMatchReference) {
                     const auto a = fast.expire_until(horizon);
                     const auto b = oracle.expire_until(horizon);
                     ASSERT_EQ(a.size(), b.size()) << "step " << step;
-                    for (std::size_t i = 0; i < a.size(); ++i)
+                    for (std::size_t i = 0; i < a.size(); ++i) {
                         expect_same_lease(a[i], b[i]);
+                        held_since.erase(b[i].client);
+                        absent_since[b[i].client] = b[i].expiry;
+                    }
                     break;
                 }
                 case 5: {
@@ -202,10 +216,26 @@ TEST(LeaseDbDifferential, RandomOpsMatchReference) {
                                       oracle.find_by_address(addr));
                     break;
                 }
+                case 6: {  // release, eviction or NAK
+                    fast.mark_absent(client, TimePoint{now_s});
+                    absent_since[client] = TimePoint{now_s};
+                    break;
+                }
             }
             ASSERT_EQ(fast.size(), oracle.size()) << "step " << step;
             ASSERT_EQ(fast.next_expiry(), oracle.next_expiry());
             expect_same_lease(fast.find(client), oracle.find(client));
+            const auto held = held_since.find(client);
+            EXPECT_EQ(fast.held_since(client),
+                      held == held_since.end() ? std::nullopt
+                                               : std::optional(held->second))
+                << "step " << step;
+            const auto absent = absent_since.find(client);
+            EXPECT_EQ(fast.absent_since(client),
+                      absent == absent_since.end()
+                          ? std::nullopt
+                          : std::optional(absent->second))
+                << "step " << step;
         }
         const auto a = sorted_by_client(fast.all());
         const auto b = sorted_by_client(oracle.all());
@@ -215,7 +245,7 @@ TEST(LeaseDbDifferential, RandomOpsMatchReference) {
 }
 
 // Ties in expiry time must come back in grant order — the multimap
-// semantics the heap's (expiry, sequence) key exists to preserve.
+// semantics the grant-ordered expiry list preserves.
 TEST(LeaseDbDifferential, ExpiryTiesBreakInGrantOrder) {
     LeaseDb db;
     const TimePoint expiry{1000};

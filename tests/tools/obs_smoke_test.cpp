@@ -282,6 +282,22 @@ TEST_F(ObsSmoke, EmptyChartSectionIsQuietOnStderr) {
     EXPECT_EQ(read_file(stderr_path), "");
 }
 
+// --help and -h print the usage text to stdout and succeed, for the top
+// level and after a command, instead of reading as a flag without a value.
+TEST_F(ObsSmoke, HelpPrintsUsageAndExitsZero) {
+    const fs::path stdout_path = dir_ / "stdout.txt";
+    const fs::path stderr_path = dir_ / "stderr.txt";
+    for (const std::string args : {"--help", "-h", "simulate --help",
+                                   "analyze --data bundle -h"}) {
+        const std::string command = std::string(DYNADDR_CLI_PATH) + " " + args +
+                                    " > " + stdout_path.string() + " 2> " +
+                                    stderr_path.string();
+        EXPECT_EQ(std::system(command.c_str()), 0) << command;
+        EXPECT_EQ(read_file(stdout_path).rfind("usage:\n", 0), 0u) << args;
+        EXPECT_EQ(read_file(stderr_path), "") << args;
+    }
+}
+
 TEST_F(ObsSmoke, TerminateAlsoFlushesEmergencyMetrics) {
     const fs::path metrics = dir_ / "terminate-metrics.json";
     const std::string command = std::string(DYNADDR_CLI_PATH) +

@@ -37,6 +37,9 @@
 //   dynaddr explain --ledger FILE (--client ID | --address A.B.C.D)
 //       Answers "why did this address change?" from a cause-ledger file
 //       written by simulate --cause-ledger (CSV or DCL1, auto-detected).
+//
+//   dynaddr --help | -h, dynaddr <command> --help
+//       Prints the usage text to stdout and exits 0.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -93,8 +96,10 @@ std::string section_names() {
     return names + "all";
 }
 
-int usage() {
-    std::cerr <<
+/// Prints the usage text. --help and -h print it to stdout and exit 0;
+/// a malformed command line prints it to stderr and exits 2.
+int usage(std::ostream& out = std::cerr, int status = 2) {
+    out <<
         "usage:\n"
         "  dynaddr simulate --preset paper|outage|quick --out DIR [--seed N]\n"
         "                   [--format csv|binary|both] [--cause-ledger FILE]\n"
@@ -141,7 +146,7 @@ int usage() {
         "  --fault-seed N       override the fault plan's rng seed\n"
         "(--threads: pipeline executors; 0 = hardware concurrency (default),"
         " 1 = single-threaded; results are identical for any value)\n";
-    return 2;
+    return status;
 }
 
 /// Flags whose value is optional (`--flag` alone means "on, defaults").
@@ -153,6 +158,10 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv, int from) 
     std::map<std::string, std::string> flags;
     for (int i = from; i < argc; ++i) {
         const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            flags["help"] = "";
+            continue;
+        }
         if (arg.rfind("--", 0) != 0) throw Error("bad argument '" + arg + "'");
         // Both --flag=value and --flag value.
         if (const auto eq = arg.find('='); eq != std::string::npos) {
@@ -826,6 +835,7 @@ int main(int argc, char** argv) {
             flags_from = 1;
         }
         const auto flags = parse_flags(argc, argv, flags_from);
+        if (command == "-h" || flags.contains("help")) return usage(std::cout, 0);
         apply_obs_flags(flags);
         const auto fault_scope = apply_fault_flags(flags);
         int status;
